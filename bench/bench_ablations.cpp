@@ -75,15 +75,15 @@ int main(int argc, char** argv) {
     struct BlurredModel : core::Model {
       const core::Model* base;
       explicit BlurredModel(const core::Model* b) : base(b) {}
-      std::vector<core::Prediction> Predict(
-          const core::FlowFeatures& flow, std::size_t k,
-          const core::ExclusionMask* excluded) const override {
+      std::size_t PredictInto(const core::FlowFeatures& flow, std::size_t k,
+                              const core::ExclusionMask* excluded,
+                              std::span<core::Prediction> out) const override {
         core::FlowFeatures blurred = flow;
         blurred.src_prefix24 = util::Ipv4Prefix(
             util::Ipv4Addr(flow.src_prefix24.address().bits() &
                            0xffff0000u),
             24);
-        return base->Predict(blurred, k, excluded);
+        return base->PredictInto(blurred, k, excluded, out);
       }
       std::string name() const override { return base->name() + "/16"; }
       std::size_t MemoryFootprintBytes() const override {

@@ -77,7 +77,8 @@ void BM_HistoricalPredict(benchmark::State& state) {
   model.Finalize();
   std::size_t i = 0;
   for (auto _ : state) {
-    const auto predictions = model.Predict(FlowOf(rows[i]), 3, nullptr);
+    const auto predictions =
+        core::PredictTopK(model, FlowOf(rows[i]), 3, nullptr);
     benchmark::DoNotOptimize(predictions.data());
     i = (i + 4099) % rows.size();
   }
@@ -107,7 +108,8 @@ void BM_NaiveBayesPredict(benchmark::State& state) {
   model.Finalize();
   std::size_t i = 0;
   for (auto _ : state) {
-    const auto predictions = model.Predict(FlowOf(rows[i]), 3, nullptr);
+    const auto predictions =
+        core::PredictTopK(model, FlowOf(rows[i]), 3, nullptr);
     benchmark::DoNotOptimize(predictions.data());
     i = (i + 4099) % rows.size();
   }

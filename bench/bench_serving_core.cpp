@@ -1,18 +1,17 @@
-// Serving-core bench: raw PredictShift speed of the flat-table backend
-// versus the legacy node-based hash map, plus the cost of the epoch swap
-// primitives the retrainer uses to publish a new model.
+// Serving-core bench: raw PredictShift speed of the flat serving tables,
+// plus the cost of the epoch swap primitives the retrainer uses to publish
+// a new model.
 //
-// Not a paper table. PR 6 rebuilds the historical models' serving path on
-// FlatTupleTable (open-addressing, interned keys, contiguous ranked-link
-// arenas) and batches PredictShift; the acceptance bar is a sub-75 ns/query
+// Not a paper table. The historical models serve from FlatTupleTable
+// (open-addressing, interned keys, contiguous ranked-link arenas) and
+// PredictShift is batched; the acceptance bar is a sub-75 ns/query
 // single-threaded serving core (stretch: sub-50) and at least 2x over the
-// 149.2 ns/query recorded by BENCH_obs.json before the rewrite. Both
-// backends are trained from the identical row stream (their predictions are
-// bit-identical by construction - tests/serving_core_test.cpp asserts it),
-// queried through PredictShiftNoMetrics in alternating min-of-rounds lanes
-// so scheduler noise cannot inflate one side only, and summarized with the
-// same queries-weighted average BENCH_obs.json uses, so the headline
-// numbers are directly comparable.
+// 149.2 ns/query recorded by BENCH_obs.json before the flat tables
+// existed. Queries go through PredictShiftNoMetrics, min-of-rounds per
+// batch size, summarized with the same queries-weighted average
+// BENCH_obs.json uses, so the headline numbers are directly comparable.
+// (tests/serving_core_test.cpp checks what the tables serve against a
+// reference fold of the paper's estimator.)
 //
 // Also reported: ModelEpoch acquire/publish cost (the retrainer's
 // lock-free handoff) and the flat tables' one-time build cost.
@@ -48,11 +47,7 @@ std::string Fixed(double v, int digits = 1) {
 struct BatchPoint {
   std::size_t batch = 0;        // flows per PredictShift query
   std::size_t queries = 0;      // timed queries per round
-  double legacy_ns = 0.0;       // min-of-rounds, per query
   double flat_ns = 0.0;         // min-of-rounds, per query
-  [[nodiscard]] double speedup() const {
-    return flat_ns > 0.0 ? legacy_ns / flat_ns : 0.0;
-  }
 };
 
 // Keeps results observable so the optimizer cannot delete a timed loop.
@@ -66,9 +61,9 @@ int main(int argc, char** argv) {
   const std::size_t target_queries_per_round = options.small ? 2000 : 20000;
 
   bench::PrintHeader("bench_serving_core",
-                     "flat-table serving core vs legacy hash map; no paper "
-                     "table - PR 6 acceptance (sub-75 ns/query, 2x vs the "
-                     "149.2 ns/query recorded before the rewrite)");
+                     "flat-table serving core; no paper table - sub-75 "
+                     "ns/query, 2x vs the 149.2 ns/query recorded before "
+                     "the flat tables");
 #ifdef TIPSY_NO_OBS
   const std::string mode = "no_obs";
 #else
@@ -78,8 +73,6 @@ int main(int argc, char** argv) {
   std::cout << "build mode: " << mode << ", hardware_concurrency " << cores
             << "\n\n";
 
-  // Two services trained from the identical row stream: the only
-  // difference is what Finalize() builds the serving lookups on.
   auto cfg = scenario::TinyScenarioConfig();
   cfg.traffic.flow_target = options.small ? 300 : 900;
   if (options.seed != 0) {
@@ -88,19 +81,12 @@ int main(int argc, char** argv) {
     cfg.outages.seed = options.seed + 2;
   }
   scenario::Scenario world(cfg);
-  core::TipsyConfig flat_cfg;
-  flat_cfg.serving_backend = core::ServingBackend::kFlat;
-  core::TipsyConfig legacy_cfg;
-  legacy_cfg.serving_backend = core::ServingBackend::kLegacyMap;
-  core::TipsyService flat_service(&world.wan(), &world.metros(), flat_cfg);
-  core::TipsyService legacy_service(&world.wan(), &world.metros(),
-                                    legacy_cfg);
+  core::TipsyService service(&world.wan(), &world.metros());
   std::vector<core::TipsyService::ShiftQueryFlow> flow_pool;
   world.SimulateHours(
       {0, 7 * util::kHoursPerDay},
       [&](util::HourIndex, std::span<const pipeline::AggRow> rows) {
-        flat_service.Train(rows);
-        legacy_service.Train(rows);
+        service.Train(rows);
         for (const auto& row : rows) {
           if (flow_pool.size() >= 4096) continue;
           flow_pool.push_back(core::TipsyService::ShiftQueryFlow{
@@ -110,11 +96,10 @@ int main(int argc, char** argv) {
               static_cast<double>(row.bytes)});
         }
       });
-  flat_service.FinalizeTraining();
-  legacy_service.FinalizeTraining();
+  service.FinalizeTraining();
   std::cout << "trained over 7 days, query pool " << flow_pool.size()
             << " flows, "
-            << flat_service.hist(core::FeatureSet::kAL).tuple_count()
+            << service.hist(core::FeatureSet::kAL).tuple_count()
             << " AL tuples\n\n";
 
   const core::ExclusionMask excluded(world.wan().link_count(), false);
@@ -127,76 +112,55 @@ int main(int argc, char** argv) {
     point.batch = batch;
     point.queries =
         std::max<std::size_t>(target_queries_per_round / batch, 64);
-    point.legacy_ns = point.flat_ns = 1e18;
+    point.flat_ns = 1e18;
 
-    // Alternate the two backends inside every round: slow drift (thermal,
-    // scheduler) hits both sides equally, and min-of-rounds drops the
-    // noisy outliers.
+    // Min-of-rounds drops the noisy outliers (scheduler, thermal drift).
     for (int round = 0; round < rounds; ++round) {
       const std::size_t cursor = static_cast<std::size_t>(round);
       const std::uint64_t b0 = obs::NowNanos();
       for (std::size_t q = 0; q < point.queries; ++q) {
         const std::size_t at = (cursor + q * batch) % flow_pool.size();
         const std::size_t take = std::min(batch, flow_pool.size() - at);
-        const auto result = legacy_service.PredictShiftNoMetrics(
+        const auto result = service.PredictShiftNoMetrics(
             std::span(flow_pool.data() + at, take), excluded, 3);
         g_sink += result.unpredicted_bytes +
                   static_cast<double>(result.shifted.size());
       }
       const std::uint64_t b1 = obs::NowNanos();
-      for (std::size_t q = 0; q < point.queries; ++q) {
-        const std::size_t at = (cursor + q * batch) % flow_pool.size();
-        const std::size_t take = std::min(batch, flow_pool.size() - at);
-        const auto result = flat_service.PredictShiftNoMetrics(
-            std::span(flow_pool.data() + at, take), excluded, 3);
-        g_sink += result.unpredicted_bytes +
-                  static_cast<double>(result.shifted.size());
-      }
-      const std::uint64_t b2 = obs::NowNanos();
-      point.legacy_ns = std::min(
-          point.legacy_ns,
-          static_cast<double>(b1 - b0) / static_cast<double>(point.queries));
       point.flat_ns = std::min(
           point.flat_ns,
-          static_cast<double>(b2 - b1) / static_cast<double>(point.queries));
+          static_cast<double>(b1 - b0) / static_cast<double>(point.queries));
     }
-    total_queries += point.queries * static_cast<std::size_t>(rounds) * 2;
+    total_queries += point.queries * static_cast<std::size_t>(rounds);
     points.push_back(point);
   }
 
-  util::TextTable table({"Batch", "Queries/round", "Legacy ns/q",
-                         "Flat ns/q", "Flat ns/flow", "Speedup"});
-  double sum_legacy = 0.0, sum_flat = 0.0;
+  util::TextTable table(
+      {"Batch", "Queries/round", "Flat ns/q", "Flat ns/flow"});
+  double sum_flat = 0.0;
   for (const auto& p : points) {
-    sum_legacy += p.legacy_ns * static_cast<double>(p.queries);
     sum_flat += p.flat_ns * static_cast<double>(p.queries);
     table.AddRow({std::to_string(p.batch), std::to_string(p.queries),
-                  Fixed(p.legacy_ns), Fixed(p.flat_ns),
-                  Fixed(p.flat_ns / static_cast<double>(p.batch)),
-                  Fixed(p.speedup(), 2) + "x"});
+                  Fixed(p.flat_ns),
+                  Fixed(p.flat_ns / static_cast<double>(p.batch))});
   }
   table.Print(std::cout);
 
-  // The headline numbers replicate BENCH_obs.json's prediction_path
+  // The headline number replicates BENCH_obs.json's prediction_path
   // formula exactly - sum of (min-of-rounds ns x queries/round) over the
-  // batch mix, divided by half the total query count - so "flat ns/query"
-  // here is directly comparable to the 149.2 ns/query that file recorded
-  // before the serving-core rewrite (same batch mix, rounds, and query
+  // batch mix, divided by the total timed query count - so "flat
+  // ns/query" here is directly comparable to the 149.2 ns/query that file
+  // recorded before the flat tables (same batch mix, rounds, and query
   // counts in full mode).
   constexpr double kRecordedBaselineNs = 149.2;
   constexpr double kTargetNs = 75.0;
-  const double legacy_ns =
-      sum_legacy / static_cast<double>(total_queries / 2);
-  const double flat_ns = sum_flat / static_cast<double>(total_queries / 2);
-  const double speedup = flat_ns > 0.0 ? legacy_ns / flat_ns : 0.0;
+  const double flat_ns = sum_flat / static_cast<double>(total_queries);
   const double speedup_vs_recorded =
       flat_ns > 0.0 ? kRecordedBaselineNs / flat_ns : 0.0;
   const bool within_target = flat_ns < kTargetNs;
-  std::cout << "\nserving core: legacy " << Fixed(legacy_ns)
-            << " ns/query, flat " << Fixed(flat_ns) << " ns/query -> "
-            << Fixed(speedup, 2) << "x (vs recorded "
-            << Fixed(kRecordedBaselineNs) << ": "
-            << Fixed(speedup_vs_recorded, 2) << "x; target <"
+  std::cout << "\nserving core: flat " << Fixed(flat_ns)
+            << " ns/query (vs recorded " << Fixed(kRecordedBaselineNs)
+            << ": " << Fixed(speedup_vs_recorded, 2) << "x; target <"
             << Fixed(kTargetNs, 0)
             << " ns: " << (within_target ? "OK" : "OVER") << ")\n\n";
 
@@ -204,8 +168,8 @@ int main(int argc, char** argv) {
   // and what the retrainer pays to publish a new one. Plus the one-time
   // flat table build cost the publish amortizes away from the hot path.
   core::ModelEpoch epoch;
-  auto published = std::make_shared<core::TipsyService>(
-      &world.wan(), &world.metros(), flat_cfg);
+  auto published =
+      std::make_shared<core::TipsyService>(&world.wan(), &world.metros());
   epoch.Publish(published);
   const std::size_t acquire_ops = 1 << 18;
   const std::uint64_t a0 = obs::NowNanos();
@@ -224,12 +188,11 @@ int main(int argc, char** argv) {
   std::size_t flat_tuples = 0, flat_bytes = 0, max_probe = 0;
   for (const auto fs : {core::FeatureSet::kA, core::FeatureSet::kAP,
                         core::FeatureSet::kAL}) {
-    const core::FlatTupleTable* t = flat_service.hist(fs).flat_table();
-    if (t == nullptr) continue;
-    build_ns += static_cast<double>(t->build_ns());
-    flat_tuples += t->size();
-    flat_bytes += t->MemoryFootprintBytes();
-    max_probe = std::max(max_probe, t->max_probe_length());
+    const core::FlatTupleTable& t = service.hist(fs).flat_table();
+    build_ns += static_cast<double>(t.build_ns());
+    flat_tuples += t.size();
+    flat_bytes += t.MemoryFootprintBytes();
+    max_probe = std::max(max_probe, t.max_probe_length());
   }
   util::TextTable epoch_table({"Epoch primitive", "ns/op"});
   epoch_table.AddRow({"acquire (reader pin)", Fixed(acquire_ns, 1)});
@@ -243,9 +206,6 @@ int main(int argc, char** argv) {
   std::vector<std::vector<std::string>> csv{
       {"backend", "batch", "queries", "ns_per_query", "ns_per_flow"}};
   for (const auto& p : points) {
-    csv.push_back({"legacy", std::to_string(p.batch),
-                   std::to_string(p.queries), Fixed(p.legacy_ns, 1),
-                   Fixed(p.legacy_ns / static_cast<double>(p.batch), 1)});
     csv.push_back({"flat", std::to_string(p.batch),
                    std::to_string(p.queries), Fixed(p.flat_ns, 1),
                    Fixed(p.flat_ns / static_cast<double>(p.batch), 1)});
@@ -262,10 +222,8 @@ int main(int argc, char** argv) {
     json << "  \"small\": " << (options.small ? "true" : "false") << ",\n";
     json << "  \"hardware_concurrency\": " << cores << ",\n";
     json << "  \"queries\": " << total_queries << ",\n";
-    json << "  \"prediction_path\": {\"legacy_ns_per_query\": "
-         << Fixed(legacy_ns, 1) << ", \"flat_ns_per_query\": "
-         << Fixed(flat_ns, 1) << ", \"speedup\": " << Fixed(speedup, 2)
-         << ", \"recorded_baseline_ns_per_query\": "
+    json << "  \"prediction_path\": {\"flat_ns_per_query\": "
+         << Fixed(flat_ns, 1) << ", \"recorded_baseline_ns_per_query\": "
          << Fixed(kRecordedBaselineNs, 1) << ", \"speedup_vs_recorded\": "
          << Fixed(speedup_vs_recorded, 2)
          << ", \"target_ns_per_query\": " << Fixed(kTargetNs, 0)
@@ -280,18 +238,13 @@ int main(int argc, char** argv) {
     json << "  \"points\": [\n";
     bool first = true;
     for (const auto& p : points) {
-      for (const char* backend : {"legacy", "flat"}) {
-        const double ns =
-            backend == std::string("legacy") ? p.legacy_ns : p.flat_ns;
-        if (!first) json << ",\n";
-        first = false;
-        json << "    {\"backend\": \"" << backend
-             << "\", \"batch\": " << p.batch
-             << ", \"queries\": " << p.queries
-             << ", \"ns_per_query\": " << Fixed(ns, 1)
-             << ", \"ns_per_flow\": "
-             << Fixed(ns / static_cast<double>(p.batch), 1) << "}";
-      }
+      if (!first) json << ",\n";
+      first = false;
+      json << "    {\"backend\": \"flat\", \"batch\": " << p.batch
+           << ", \"queries\": " << p.queries
+           << ", \"ns_per_query\": " << Fixed(p.flat_ns, 1)
+           << ", \"ns_per_flow\": "
+           << Fixed(p.flat_ns / static_cast<double>(p.batch), 1) << "}";
     }
     json << "\n  ]\n}\n";
     std::cout << "\nwrote BENCH_serving.json\n";

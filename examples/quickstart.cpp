@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
   // and ask where the bytes would go.
   const auto flow = world.FlowFeaturesOf(0);
   const auto& best = experiment.tipsy->Best();
-  const auto baseline = best.Predict(flow, 3, nullptr);
+  const auto baseline = core::PredictTopK(best, flow, 3, nullptr);
   if (!baseline.empty()) {
     std::cout << "\nWhat-if for one flow (src AS "
               << flow.src_asn.value() << ", prefix "
@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
               << ")\n";
     core::ExclusionMask withdrawn(world.wan().link_count(), false);
     withdrawn[baseline.front().link.value()] = true;
-    const auto shifted = best.Predict(flow, 3, &withdrawn);
+    const auto shifted = core::PredictTopK(best, flow, 3, &withdrawn);
     std::cout << "  after a withdrawal there, TIPSY predicts:\n";
     for (const auto& p : shifted) {
       const auto& link = world.wan().link(p.link);

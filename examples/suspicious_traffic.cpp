@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
   std::size_t injected = 0;
   for (std::size_t f = 0; f < 50; ++f) {
     const auto flow = world.FlowFeaturesOf(f);
-    const auto usual = model->Predict(flow, 16, nullptr);
+    const auto usual = core::PredictTopK(*model, flow, 16, nullptr);
     if (usual.empty()) continue;
     // Find the farthest link from the flow's usual ingress metro.
     const auto usual_metro = world.wan().link(usual.front().link).metro;

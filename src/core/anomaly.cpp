@@ -15,7 +15,7 @@ SuspicionVerdict SuspiciousIngressDetector::Check(const FlowFeatures& flow,
                                                   LinkId link) const {
   SuspicionVerdict verdict;
   const auto ranking =
-      model_->Predict(flow, config_.ranking_depth, nullptr);
+      PredictTopK(*model_, flow, config_.ranking_depth, nullptr);
   if (ranking.empty()) return verdict;  // unknown flow: no basis
   verdict.known_flow = true;
   for (const auto& p : ranking) {

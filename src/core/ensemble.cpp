@@ -11,22 +11,6 @@ SequentialEnsemble::SequentialEnsemble(std::vector<const Model*> stages,
   stage_hits_ = std::vector<obs::Counter>(stages_.size() + 1);
 }
 
-std::vector<Prediction> SequentialEnsemble::Predict(
-    const FlowFeatures& flow, std::size_t k,
-    const ExclusionMask* excluded) const {
-  for (std::size_t i = 0; i < stages_.size(); ++i) {
-    auto predictions = stages_[i]->Predict(flow, k, excluded);
-    if (!predictions.empty()) {
-      last_stage_.store(static_cast<int>(i), std::memory_order_relaxed);
-      TIPSY_OBS_ONLY(stage_hits_[i].Increment();)
-      return predictions;
-    }
-  }
-  last_stage_.store(-1, std::memory_order_relaxed);
-  TIPSY_OBS_ONLY(stage_hits_.back().Increment();)
-  return {};
-}
-
 std::size_t SequentialEnsemble::PredictInto(const FlowFeatures& flow,
                                             std::size_t k,
                                             const ExclusionMask* excluded,

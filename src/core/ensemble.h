@@ -21,9 +21,6 @@ class SequentialEnsemble : public Model {
   // the composition, e.g. "Hist_AP/AL/A".
   SequentialEnsemble(std::vector<const Model*> stages, std::string label);
 
-  [[nodiscard]] std::vector<Prediction> Predict(
-      const FlowFeatures& flow, std::size_t k,
-      const ExclusionMask* excluded) const override;
   [[nodiscard]] std::size_t PredictInto(
       const FlowFeatures& flow, std::size_t k, const ExclusionMask* excluded,
       std::span<Prediction> out) const override;
@@ -33,7 +30,7 @@ class SequentialEnsemble : public Model {
 
   // Which stage answered the last query (-1 if none); cheap diagnostics
   // for the fall-through statistics in tests. Relaxed atomic so the
-  // parallel evaluator may call Predict concurrently.
+  // parallel evaluator may call PredictInto concurrently.
   [[nodiscard]] int last_stage() const {
     return last_stage_.load(std::memory_order_relaxed);
   }

@@ -13,8 +13,8 @@
 // filled in key-sorted order, so two tables built from maps with equal
 // contents are identical byte for byte regardless of the maps' iteration
 // order. Everything a table serves (totals, ranked runs) carries the
-// exact double values of the source map, which keeps Predict() and
-// ExportTable() bit-identical to the legacy map-backed path.
+// exact double values of the source map, so PredictInto() and
+// ExportTable() serve exactly the summed B(f, l) counts.
 #pragma once
 
 #include <cstdint>
@@ -80,8 +80,8 @@ class FlatTupleTable {
 #endif
   }
 
-  // Visits every occupied bucket (hash order - callers needing the
-  // deterministic export order sort afterwards, as the legacy path does).
+  // Visits every occupied bucket (hash order - callers needing a
+  // deterministic order sort afterwards, as ExportTable() does).
   template <typename Fn>
   void ForEachBucket(Fn&& fn) const {
     for (const Bucket& bucket : buckets_) {

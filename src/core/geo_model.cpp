@@ -7,45 +7,13 @@ namespace tipsy::core {
 
 GeoAugmentedModel::GeoAugmentedModel(const Model* base, const wan::Wan* wan,
                                      const geo::MetroCatalogue* metros)
-    : base_(base), wan_(wan), metros_(metros) {
-  assert(base_ != nullptr && wan_ != nullptr && metros_ != nullptr);
-  geo_ranked_.resize(wan_->link_count());
-  for (const wan::PeeringLink& link : wan_->links()) {
-    geo_ranked_[link.id.value()] = wan_->LinksOfAsnByDistance(
-        link.peer_asn, link.metro, *metros_, link.id);
+    : base_(base) {
+  assert(base_ != nullptr && wan != nullptr && metros != nullptr);
+  geo_ranked_.resize(wan->link_count());
+  for (const wan::PeeringLink& link : wan->links()) {
+    geo_ranked_[link.id.value()] = wan->LinksOfAsnByDistance(
+        link.peer_asn, link.metro, *metros, link.id);
   }
-}
-
-std::vector<Prediction> GeoAugmentedModel::Predict(
-    const FlowFeatures& flow, std::size_t k,
-    const ExclusionMask* excluded) const {
-  auto predictions = base_->Predict(flow, k, excluded);
-  if (predictions.size() >= k) return predictions;
-
-  // Anchor on the best match ignoring exclusions: that is where the flow
-  // historically entered, and geography is measured from there.
-  const auto anchor = base_->Predict(flow, 1, nullptr);
-  if (anchor.empty()) return predictions;
-
-  // Residual probability mass to hand to the geographic guesses: whatever
-  // the base predictions left uncovered, split geometrically (closest
-  // alternative gets the most).
-  double covered = 0.0;
-  for (const auto& p : predictions) covered += p.probability;
-  double residual = std::max(0.05, 1.0 - covered);
-
-  auto already_predicted = [&](LinkId link) {
-    return std::any_of(
-        predictions.begin(), predictions.end(),
-        [&](const Prediction& p) { return p.link == link; });
-  };
-  for (LinkId link : GeoRanked(anchor.front().link)) {
-    if (predictions.size() >= k) break;
-    if (IsExcluded(excluded, link) || already_predicted(link)) continue;
-    residual *= 0.5;
-    predictions.push_back(Prediction{link, residual});
-  }
-  return predictions;
 }
 
 std::size_t GeoAugmentedModel::PredictInto(const FlowFeatures& flow,
@@ -56,11 +24,16 @@ std::size_t GeoAugmentedModel::PredictInto(const FlowFeatures& flow,
   std::size_t written = base_->PredictInto(flow, k, excluded, out);
   if (written >= k) return written;
 
+  // Anchor on the best match ignoring exclusions: that is where the flow
+  // historically entered, and geography is measured from there.
   Prediction anchor;
   if (base_->PredictInto(flow, 1, nullptr, {&anchor, 1}) == 0) {
     return written;
   }
 
+  // Residual probability mass to hand to the geographic guesses: whatever
+  // the base predictions left uncovered, split geometrically (closest
+  // alternative gets the most).
   double covered = 0.0;
   for (std::size_t i = 0; i < written; ++i) covered += out[i].probability;
   double residual = std::max(0.05, 1.0 - covered);

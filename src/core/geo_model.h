@@ -17,13 +17,11 @@ namespace tipsy::core {
 
 class GeoAugmentedModel : public Model {
  public:
-  // `base`, `wan`, and `metros` are borrowed and must outlive the model.
+  // `base` is borrowed and must outlive the model; `wan` and `metros`
+  // are only read here, to precompute the geographic rankings.
   GeoAugmentedModel(const Model* base, const wan::Wan* wan,
                     const geo::MetroCatalogue* metros);
 
-  [[nodiscard]] std::vector<Prediction> Predict(
-      const FlowFeatures& flow, std::size_t k,
-      const ExclusionMask* excluded) const override;
   [[nodiscard]] std::size_t PredictInto(
       const FlowFeatures& flow, std::size_t k, const ExclusionMask* excluded,
       std::span<Prediction> out) const override;
@@ -43,11 +41,9 @@ class GeoAugmentedModel : public Model {
   }
 
   const Model* base_;
-  const wan::Wan* wan_;
-  const geo::MetroCatalogue* metros_;
   // Precomputed per possible anchor link (indexed by LinkId value): the
-  // WAN topology is immutable for the model's lifetime, so the per-query
-  // distance sort of the legacy path is paid once at construction.
+  // WAN topology is immutable for the model's lifetime, so the distance
+  // sort is paid once at construction instead of per query.
   std::vector<std::vector<LinkId>> geo_ranked_;
 };
 

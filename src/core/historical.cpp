@@ -7,12 +7,10 @@ namespace tipsy::core {
 
 HistoricalModel::HistoricalModel(FeatureSet feature_set,
                                  std::size_t max_links_per_tuple,
-                                 bool weight_by_bytes,
-                                 ServingBackend backend)
+                                 bool weight_by_bytes)
     : feature_set_(feature_set),
       max_links_per_tuple_(max_links_per_tuple),
       weight_by_bytes_(weight_by_bytes),
-      backend_(backend),
       counts_(feature_set, weight_by_bytes) {
   assert(max_links_per_tuple_ >= 1);
 }
@@ -46,8 +44,8 @@ void HistoricalModel::ReserveTuples(std::size_t expected_tuples) {
   counts_.Reserve(expected_tuples);
 }
 
-void HistoricalModel::RankAndTruncate() {
-  for (auto& [key, entry] : table_) {
+void HistoricalModel::RankAndTruncate(TupleCountMap& table) const {
+  for (auto& [key, entry] : table) {
     std::sort(entry.ranked.begin(), entry.ranked.end(),
               [](const LinkBytes& a, const LinkBytes& b) {
                 if (a.bytes != b.bytes) return a.bytes > b.bytes;
@@ -55,17 +53,12 @@ void HistoricalModel::RankAndTruncate() {
               });
     if (entry.ranked.size() > max_links_per_tuple_) {
       entry.ranked.resize(max_links_per_tuple_);
-      entry.ranked.shrink_to_fit();
     }
   }
 }
 
-void HistoricalModel::AdoptServingTable() {
-  if (backend_ == ServingBackend::kFlat) {
-    flat_ = FlatTupleTable::Build(table_);
-    // The map was only the build input; serving probes the flat table.
-    TupleCountMap().swap(table_);
-  }
+void HistoricalModel::Serve(const TupleCountMap& ranked) {
+  flat_ = FlatTupleTable::Build(ranked);
   finalized_ = true;
 }
 
@@ -81,73 +74,30 @@ void HistoricalModel::Finalize() {
   }
   shards_.clear();
   shards_.shrink_to_fit();
-  table_ = counts_.ReleaseCounts();
-  RankAndTruncate();
-  AdoptServingTable();
+  TupleCountMap table = counts_.ReleaseCounts();
+  RankAndTruncate(table);
+  Serve(table);
 }
 
-bool HistoricalModel::LookupRanked(const FlowFeatures& flow,
-                                   std::span<const LinkBytes>* ranked,
-                                   double* total_bytes) const {
-  assert(finalized_);
-  if (!HasFeatures(feature_set_, flow)) return false;
-  const TupleKey key = MakeTupleKey(feature_set_, flow);
-  if (backend_ == ServingBackend::kFlat) {
-    const FlatTupleTable::Bucket* bucket = flat_.Find(key);
-    if (bucket == nullptr) return false;
-    *ranked = flat_.links(*bucket);
-    *total_bytes = bucket->total_bytes;
-    return true;
-  }
-  const auto it = table_.find(key);
-  if (it == table_.end()) return false;
-  *ranked = {it->second.ranked.data(), it->second.ranked.size()};
-  *total_bytes = it->second.total_bytes;
-  return true;
-}
-
-std::vector<Prediction> HistoricalModel::Predict(
-    const FlowFeatures& flow, std::size_t k,
-    const ExclusionMask* excluded) const {
-  std::vector<Prediction> out;
-  if (k == 0) {
-    assert(finalized_);
-    return out;
-  }
-  std::span<const LinkBytes> ranked;
-  double total_bytes = 0.0;
-  if (!LookupRanked(flow, &ranked, &total_bytes)) return out;
-  // Without exclusions, p(l|f) = B(f,l)/B(f). With exclusions the traffic
-  // must land somewhere else, so renormalize over the remaining choices.
-  double denominator = total_bytes;
-  if (excluded != nullptr) {
-    denominator = 0.0;
-    for (const auto& lb : ranked) {
-      if (!IsExcluded(excluded, lb.link)) denominator += lb.bytes;
-    }
-  }
-  if (denominator <= 0.0) return out;
-  for (const auto& lb : ranked) {
-    if (IsExcluded(excluded, lb.link)) continue;
-    out.push_back(Prediction{lb.link, lb.bytes / denominator});
-    if (out.size() == k) break;
-  }
-  return out;
+const FlatTupleTable::Bucket* HistoricalModel::Lookup(
+    const FlowFeatures& flow) const {
+  if (!HasFeatures(feature_set_, flow)) return nullptr;
+  return flat_.Find(MakeTupleKey(feature_set_, flow));
 }
 
 std::size_t HistoricalModel::PredictInto(const FlowFeatures& flow,
                                          std::size_t k,
                                          const ExclusionMask* excluded,
                                          std::span<Prediction> out) const {
+  assert(finalized_);
   if (k > out.size()) k = out.size();
-  if (k == 0) {
-    assert(finalized_);
-    return 0;
-  }
-  std::span<const LinkBytes> ranked;
-  double total_bytes = 0.0;
-  if (!LookupRanked(flow, &ranked, &total_bytes)) return 0;
-  double denominator = total_bytes;
+  if (k == 0) return 0;
+  const FlatTupleTable::Bucket* bucket = Lookup(flow);
+  if (bucket == nullptr) return 0;
+  const std::span<const LinkBytes> ranked = flat_.links(*bucket);
+  // Without exclusions, p(l|f) = B(f,l)/B(f). With exclusions the traffic
+  // must land somewhere else, so renormalize over the remaining choices.
+  double denominator = bucket->total_bytes;
   if (excluded != nullptr) {
     denominator = 0.0;
     for (const auto& lb : ranked) {
@@ -169,53 +119,29 @@ std::string HistoricalModel::name() const {
 }
 
 std::size_t HistoricalModel::MemoryFootprintBytes() const {
-  if (finalized_ && backend_ == ServingBackend::kFlat) {
-    return flat_.MemoryFootprintBytes();
-  }
-  std::size_t bytes = table_.size() * (sizeof(TupleKey) + sizeof(TupleCounts));
-  for (const auto& [key, entry] : table_) {
-    bytes += entry.ranked.capacity() * sizeof(LinkBytes);
-  }
-  return bytes;
+  return flat_.MemoryFootprintBytes();
 }
 
 bool HistoricalModel::Knows(const FlowFeatures& flow) const {
-  if (!HasFeatures(feature_set_, flow)) return false;
-  const TupleKey key = MakeTupleKey(feature_set_, flow);
-  return backend_ == ServingBackend::kFlat ? flat_.Contains(key)
-                                           : table_.contains(key);
+  return Lookup(flow) != nullptr;
 }
 
 std::vector<HistoricalModel::TupleExport> HistoricalModel::ExportTable()
     const {
   assert(finalized_);
   std::vector<TupleExport> out;
-  if (backend_ == ServingBackend::kFlat) {
-    out.reserve(flat_.size());
-    flat_.ForEachBucket([&](const FlatTupleTable::Bucket& bucket) {
-      TupleExport exported;
-      exported.key = bucket.key;
-      exported.total_bytes = bucket.total_bytes;
-      const auto links = flat_.links(bucket);
-      exported.ranked.reserve(links.size());
-      for (const auto& lb : links) {
-        exported.ranked.emplace_back(lb.link, lb.bytes);
-      }
-      out.push_back(std::move(exported));
-    });
-  } else {
-    out.reserve(table_.size());
-    for (const auto& [key, entry] : table_) {
-      TupleExport exported;
-      exported.key = key;
-      exported.total_bytes = entry.total_bytes;
-      exported.ranked.reserve(entry.ranked.size());
-      for (const auto& lb : entry.ranked) {
-        exported.ranked.emplace_back(lb.link, lb.bytes);
-      }
-      out.push_back(std::move(exported));
+  out.reserve(flat_.size());
+  flat_.ForEachBucket([&](const FlatTupleTable::Bucket& bucket) {
+    TupleExport exported;
+    exported.key = bucket.key;
+    exported.total_bytes = bucket.total_bytes;
+    const auto links = flat_.links(bucket);
+    exported.ranked.reserve(links.size());
+    for (const auto& lb : links) {
+      exported.ranked.emplace_back(lb.link, lb.bytes);
     }
-  }
+    out.push_back(std::move(exported));
+  });
   std::sort(out.begin(), out.end(),
             [](const TupleExport& a, const TupleExport& b) {
               if (a.key.hi != b.key.hi) return a.key.hi < b.key.hi;
@@ -226,10 +152,10 @@ std::vector<HistoricalModel::TupleExport> HistoricalModel::ExportTable()
 
 HistoricalModel HistoricalModel::FromExport(
     FeatureSet feature_set, std::size_t max_links_per_tuple,
-    bool weight_by_bytes, const std::vector<TupleExport>& table,
-    ServingBackend backend) {
-  HistoricalModel model(feature_set, max_links_per_tuple, weight_by_bytes,
-                        backend);
+    bool weight_by_bytes, const std::vector<TupleExport>& table) {
+  HistoricalModel model(feature_set, max_links_per_tuple, weight_by_bytes);
+  TupleCountMap ranked;
+  ranked.reserve(table.size());
   for (const auto& exported : table) {
     TupleCounts entry;
     entry.total_bytes = exported.total_bytes;
@@ -237,26 +163,25 @@ HistoricalModel HistoricalModel::FromExport(
     for (const auto& [link, bytes] : exported.ranked) {
       entry.ranked.push_back(LinkBytes{link, bytes});
     }
-    model.table_.emplace(exported.key, std::move(entry));
+    ranked.emplace(exported.key, std::move(entry));
   }
   // Exported tables were already ranked and truncated.
-  model.AdoptServingTable();
+  model.Serve(ranked);
   return model;
 }
 
 HistoricalModel HistoricalModel::FromCounts(std::size_t max_links_per_tuple,
                                             const TupleCountTable& counts,
-                                            const TupleCountTable* overlay,
-                                            ServingBackend backend) {
+                                            const TupleCountTable* overlay) {
   HistoricalModel model(counts.feature_set(), max_links_per_tuple,
-                        counts.weight_by_bytes(), backend);
+                        counts.weight_by_bytes());
   // The window aggregate stays untouched (it keeps rolling forward); the
   // model ranks and truncates a private copy, overlay merged on top.
   TupleCountTable merged = counts;
   if (overlay != nullptr) merged.Merge(*overlay);
-  model.table_ = merged.ReleaseCounts();
-  model.RankAndTruncate();
-  model.AdoptServingTable();
+  TupleCountMap table = merged.ReleaseCounts();
+  model.RankAndTruncate(table);
+  model.Serve(table);
   return model;
 }
 

@@ -10,7 +10,9 @@
 // Accumulation is delegated to core/day_shard.h's TupleCountTable, the
 // same mergeable counts the incremental retrainer keeps per day; this
 // class owns what makes the counts a servable model: ranking, top-k
-// truncation and prediction.
+// truncation and prediction. A finalized model serves from a
+// FlatTupleTable; the accumulation map is only its build input and is
+// freed once the table is built.
 #pragma once
 
 #include "core/day_shard.h"
@@ -18,12 +20,6 @@
 #include "core/model.h"
 
 namespace tipsy::core {
-
-// What a finalized model serves lookups from. kFlat (the default) builds
-// a FlatTupleTable at finalization and drops the accumulation map; the
-// two backends are bit-identical in everything they serve - kLegacyMap
-// exists as the reference the serving-core tests diff against.
-enum class ServingBackend : std::uint8_t { kFlat, kLegacyMap };
 
 class HistoricalModel : public Model {
  public:
@@ -33,8 +29,7 @@ class HistoricalModel : public Model {
   // every observation counts 1 instead of its byte volume.
   explicit HistoricalModel(FeatureSet feature_set,
                            std::size_t max_links_per_tuple = 16,
-                           bool weight_by_bytes = true,
-                           ServingBackend backend = ServingBackend::kFlat);
+                           bool weight_by_bytes = true);
 
   // Streaming, byte-weighted training. Call Finalize() before predicting.
   void Add(const pipeline::AggRow& row);
@@ -55,9 +50,6 @@ class HistoricalModel : public Model {
   // substrate PR: avoid rehash churn on the training hot path).
   void ReserveTuples(std::size_t expected_tuples);
 
-  [[nodiscard]] std::vector<Prediction> Predict(
-      const FlowFeatures& flow, std::size_t k,
-      const ExclusionMask* excluded) const override;
   [[nodiscard]] std::size_t PredictInto(
       const FlowFeatures& flow, std::size_t k, const ExclusionMask* excluded,
       std::span<Prediction> out) const override;
@@ -67,23 +59,17 @@ class HistoricalModel : public Model {
 
   [[nodiscard]] FeatureSet feature_set() const { return feature_set_; }
   [[nodiscard]] std::size_t tuple_count() const {
-    if (!finalized_) return counts_.tuple_count();
-    return backend_ == ServingBackend::kFlat ? flat_.size() : table_.size();
+    return finalized_ ? flat_.size() : counts_.tuple_count();
   }
   [[nodiscard]] bool finalized() const { return finalized_; }
-  [[nodiscard]] ServingBackend backend() const { return backend_; }
-  // The flat serving table (kFlat backend, finalized models only);
-  // nullptr otherwise. Exposed for serving-core metrics and benches.
-  [[nodiscard]] const FlatTupleTable* flat_table() const {
-    return finalized_ && backend_ == ServingBackend::kFlat ? &flat_ : nullptr;
-  }
+  // The flat serving table (empty until finalized). Exposed for
+  // serving-core metrics and benches.
+  [[nodiscard]] const FlatTupleTable& flat_table() const { return flat_; }
 
-  // Prefetches the tuple's serving bucket (no-op on the legacy backend).
-  // The batched prediction path calls this a few flows ahead of the
-  // probe; `key` must come from MakeTupleKey(feature_set(), flow).
-  void PrefetchTuple(const TupleKey& key) const {
-    if (backend_ == ServingBackend::kFlat) flat_.Prefetch(key);
-  }
+  // Prefetches the tuple's serving bucket. The batched prediction path
+  // calls this a few flows ahead of the probe; `key` must come from
+  // MakeTupleKey(feature_set(), flow).
+  void PrefetchTuple(const TupleKey& key) const { flat_.Prefetch(key); }
 
   // Whether the model has any ranking for the flow's tuple (used by tests
   // and by the fall-through logic diagnostics).
@@ -106,9 +92,7 @@ class HistoricalModel : public Model {
   static HistoricalModel FromExport(FeatureSet feature_set,
                                     std::size_t max_links_per_tuple,
                                     bool weight_by_bytes,
-                                    const std::vector<TupleExport>& table,
-                                    ServingBackend backend =
-                                        ServingBackend::kFlat);
+                                    const std::vector<TupleExport>& table);
 
   // Builds a finalized model directly from accumulated window counts,
   // optionally overlaying one more partial table (the retrainer's
@@ -118,35 +102,29 @@ class HistoricalModel : public Model {
   // the summed (bytes, link) pairs.
   static HistoricalModel FromCounts(std::size_t max_links_per_tuple,
                                     const TupleCountTable& counts,
-                                    const TupleCountTable* overlay = nullptr,
-                                    ServingBackend backend =
-                                        ServingBackend::kFlat);
+                                    const TupleCountTable* overlay = nullptr);
 
  private:
   // Sorts every tuple's links by (bytes desc, link asc) and truncates to
   // max_links_per_tuple_.
-  void RankAndTruncate();
-  // Moves the ranked map into the configured serving backend (the flat
-  // table frees the map) and marks the model servable.
-  void AdoptServingTable();
-  // The serving entry for `flow`'s tuple: its ranked links and tuple
-  // total. False when the model cannot key or has never seen the flow.
-  [[nodiscard]] bool LookupRanked(const FlowFeatures& flow,
-                                  std::span<const LinkBytes>* ranked,
-                                  double* total_bytes) const;
+  void RankAndTruncate(TupleCountMap& table) const;
+  // Builds the flat serving table from a ranked + truncated map and marks
+  // the model servable; the map is only the build input.
+  void Serve(const TupleCountMap& ranked);
+  // The serving bucket for `flow`'s tuple; nullptr when the model cannot
+  // key or has never seen the flow.
+  [[nodiscard]] const FlatTupleTable::Bucket* Lookup(
+      const FlowFeatures& flow) const;
 
   FeatureSet feature_set_;
   std::size_t max_links_per_tuple_;
   bool weight_by_bytes_;
-  ServingBackend backend_;
   bool finalized_ = false;
   std::size_t reserve_hint_ = 0;
   // Pre-finalization accumulation (serial path) ...
   TupleCountTable counts_;
   std::vector<TupleCountTable> shards_;
-  // ... and the finalized, ranked + truncated serving table: the flat
-  // table on the kFlat backend, the map on kLegacyMap.
-  TupleCountMap table_;
+  // ... and the finalized, ranked + truncated serving table.
   FlatTupleTable flat_;
 };
 

@@ -32,35 +32,31 @@ class Model {
  public:
   virtual ~Model() = default;
 
-  // Up to k predictions, most likely first, probabilities renormalized
-  // over the non-excluded choices. Empty when the model has no prediction
-  // for this flow (ensembles fall through on that).
-  [[nodiscard]] virtual std::vector<Prediction> Predict(
-      const FlowFeatures& flow, std::size_t k,
-      const ExclusionMask* excluded) const = 0;
-
-  // Allocation-free variant: writes up to min(k, out.size()) predictions
-  // into `out`, most likely first, and returns how many were written.
-  // Bit-identical to Predict() truncated to out.size(); the batched
-  // serving path (TipsyService::PredictShift) and the evaluator use it
-  // to keep a heap allocation off every per-flow query. The default
-  // adapter copies from Predict(); table-backed models override it.
+  // Writes up to min(k, out.size()) predictions into `out`, most likely
+  // first, probabilities renormalized over the non-excluded choices, and
+  // returns how many were written. Zero when the model has no prediction
+  // for this flow (ensembles fall through on that). Allocation-free, so
+  // the batched serving path (TipsyService::PredictShift) and the
+  // evaluator keep a heap allocation off every per-flow query.
   [[nodiscard]] virtual std::size_t PredictInto(
       const FlowFeatures& flow, std::size_t k, const ExclusionMask* excluded,
-      std::span<Prediction> out) const {
-    const auto predictions =
-        Predict(flow, k < out.size() ? k : out.size(), excluded);
-    for (std::size_t i = 0; i < predictions.size(); ++i) {
-      out[i] = predictions[i];
-    }
-    return predictions.size();
-  }
+      std::span<Prediction> out) const = 0;
 
   [[nodiscard]] virtual std::string name() const = 0;
 
   // Approximate resident size, for the Table 3 / Table 11 cost analysis.
   [[nodiscard]] virtual std::size_t MemoryFootprintBytes() const = 0;
 };
+
+// Up to k predictions as a vector: sizes a buffer and calls PredictInto.
+// For callers off the serving hot path (tests, examples, diagnostics).
+[[nodiscard]] inline std::vector<Prediction> PredictTopK(
+    const Model& model, const FlowFeatures& flow, std::size_t k,
+    const ExclusionMask* excluded) {
+  std::vector<Prediction> out(k);
+  out.resize(model.PredictInto(flow, k, excluded, out));
+  return out;
+}
 
 // Convenience used by implementations.
 [[nodiscard]] inline bool IsExcluded(const ExclusionMask* excluded,

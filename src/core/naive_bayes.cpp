@@ -82,19 +82,20 @@ void NaiveBayesModel::Finalize() {
   finalized_ = true;
 }
 
-std::vector<Prediction> NaiveBayesModel::Predict(
-    const FlowFeatures& flow, std::size_t k,
-    const ExclusionMask* excluded) const {
+std::size_t NaiveBayesModel::PredictInto(const FlowFeatures& flow,
+                                         std::size_t k,
+                                         const ExclusionMask* excluded,
+                                         std::span<Prediction> out) const {
   assert(finalized_);
-  std::vector<Prediction> out;
+  if (k > out.size()) k = out.size();
   if (k == 0 || !HasFeatures(feature_set_, flow) ||
       totals_.total_bytes <= 0.0) {
-    return out;
+    return 0;
   }
   // NB can only reason about flows whose every feature value appeared in
   // training (Appendix A).
   for (std::size_t d = 0; d < DimCount(); ++d) {
-    if (!totals_.seen_values[d].contains(DimValue(d, flow))) return out;
+    if (!totals_.seen_values[d].contains(DimValue(d, flow))) return 0;
   }
 
   // Score every candidate class in log space.
@@ -115,7 +116,7 @@ std::vector<Prediction> NaiveBayesModel::Predict(
     }
     scores.emplace_back(log_score, link_value);
   }
-  if (scores.empty()) return out;
+  if (scores.empty()) return 0;
   std::sort(scores.begin(), scores.end(), [](const auto& a, const auto& b) {
     if (a.first != b.first) return a.first > b.first;
     return a.second < b.second;
@@ -128,12 +129,11 @@ std::vector<Prediction> NaiveBayesModel::Predict(
   for (const auto& [log_score, link] : scores) {
     total += std::exp(log_score - max_log);
   }
-  out.reserve(scores.size());
-  for (const auto& [log_score, link] : scores) {
-    out.push_back(
-        Prediction{LinkId{link}, std::exp(log_score - max_log) / total});
+  for (std::size_t i = 0; i < scores.size(); ++i) {
+    const auto& [log_score, link] = scores[i];
+    out[i] = Prediction{LinkId{link}, std::exp(log_score - max_log) / total};
   }
-  return out;
+  return scores.size();
 }
 
 std::string NaiveBayesModel::name() const {

@@ -36,9 +36,11 @@ class NaiveBayesModel : public Model {
   void AddToShard(std::size_t shard, const pipeline::AggRow& row);
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
 
-  [[nodiscard]] std::vector<Prediction> Predict(
-      const FlowFeatures& flow, std::size_t k,
-      const ExclusionMask* excluded) const override;
+  // Scores every candidate link, keeps the top min(k, out.size()) and
+  // normalizes their probabilities over that truncated set.
+  [[nodiscard]] std::size_t PredictInto(
+      const FlowFeatures& flow, std::size_t k, const ExclusionMask* excluded,
+      std::span<Prediction> out) const override;
 
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::size_t MemoryFootprintBytes() const override;

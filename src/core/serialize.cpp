@@ -11,10 +11,10 @@
 namespace tipsy::core {
 namespace {
 
-constexpr char kModelMagicV1[8] = {'T', 'I', 'P', 'S', 'Y', 'H', 'M', '1'};
-constexpr char kModelMagicV2[8] = {'T', 'I', 'P', 'S', 'Y', 'H', 'M', '2'};
-constexpr char kBundleMagicV1[8] = {'T', 'I', 'P', 'S', 'Y', 'S', 'V', '1'};
-constexpr char kBundleMagicV2[8] = {'T', 'I', 'P', 'S', 'Y', 'S', 'V', '2'};
+// The last byte is the format version; a matching 7-byte prefix with any
+// other version byte is a typed kVersionMismatch.
+constexpr char kModelMagic[8] = {'T', 'I', 'P', 'S', 'Y', 'H', 'M', '2'};
+constexpr char kBundleMagic[8] = {'T', 'I', 'P', 'S', 'Y', 'S', 'V', '2'};
 
 // Hostile-length guards: a flipped bit in a count/size field must fail
 // cleanly instead of driving a multi-GB allocation.
@@ -76,9 +76,8 @@ void SerializeModelBody(const HistoricalModel& model, std::ostream& out) {
   }
 }
 
-// Shared by v1 (unchecksummed) and v2 (inside a verified frame). Every
-// count is validated against the bytes actually available before any
-// allocation sized from it.
+// Parses a verified frame's payload. Every count is validated against the
+// bytes actually available before any allocation sized from it.
 util::StatusOr<HistoricalModel> ParseModelBody(ByteReader& reader) {
   std::uint8_t feature_set_raw = 0;
   std::uint8_t weighted = 0;
@@ -134,33 +133,14 @@ util::StatusOr<HistoricalModel> ParseModelBody(ByteReader& reader) {
       table);
 }
 
-void WriteModelFrame(const HistoricalModel& model, std::ostream& out,
-                     int format_version) {
-  if (format_version <= 1) {
-    out.write(kModelMagicV1, sizeof(kModelMagicV1));
-    SerializeModelBody(model, out);
-    return;
-  }
-  std::ostringstream body;
-  SerializeModelBody(model, body);
-  const std::string payload = body.str();
-  out.write(kModelMagicV2, sizeof(kModelMagicV2));
-  Put(out, static_cast<std::uint64_t>(payload.size()));
-  Put(out, util::Crc32c::Of(payload));
-  out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-}
-
-// One model from the cursor: v2 length+CRC frame, or a bare v1 body.
+// One model from the cursor: magic, then a length+CRC frame.
 util::StatusOr<HistoricalModel> ReadModelFrame(ByteReader& reader) {
   char magic[8];
   if (!reader.Get(magic)) {
     return util::Status::Truncated("model magic ends early");
   }
-  if (std::memcmp(magic, kModelMagicV1, sizeof(magic)) == 0) {
-    return ParseModelBody(reader);
-  }
-  if (std::memcmp(magic, kModelMagicV2, sizeof(magic)) != 0) {
-    if (std::memcmp(magic, kModelMagicV1, 7) == 0) {
+  if (std::memcmp(magic, kModelMagic, sizeof(magic)) != 0) {
+    if (std::memcmp(magic, kModelMagic, 7) == 0) {
       return util::Status::VersionMismatch(
           "unsupported model format version byte");
     }
@@ -202,9 +182,14 @@ std::string DrainStream(std::istream& in) {
 
 }  // namespace
 
-void SaveModel(const HistoricalModel& model, std::ostream& out,
-               int format_version) {
-  WriteModelFrame(model, out, format_version);
+void SaveModel(const HistoricalModel& model, std::ostream& out) {
+  std::ostringstream body;
+  SerializeModelBody(model, body);
+  const std::string payload = body.str();
+  out.write(kModelMagic, sizeof(kModelMagic));
+  Put(out, static_cast<std::uint64_t>(payload.size()));
+  Put(out, util::Crc32c::Of(payload));
+  out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
 }
 
 util::StatusOr<HistoricalModel> LoadModel(std::istream& in) {
@@ -213,11 +198,10 @@ util::StatusOr<HistoricalModel> LoadModel(std::istream& in) {
   return ReadModelFrame(reader);
 }
 
-void SaveService(const TipsyService& service, std::ostream& out,
-                 int format_version) {
-  out.write(format_version <= 1 ? kBundleMagicV1 : kBundleMagicV2, 8);
+void SaveService(const TipsyService& service, std::ostream& out) {
+  out.write(kBundleMagic, sizeof(kBundleMagic));
   for (auto fs : {FeatureSet::kA, FeatureSet::kAP, FeatureSet::kAL}) {
-    WriteModelFrame(service.hist(fs), out, format_version);
+    SaveModel(service.hist(fs), out);
   }
 }
 
@@ -230,16 +214,14 @@ util::StatusOr<std::unique_ptr<TipsyService>> LoadService(
   if (!reader.Get(magic)) {
     return util::Status::Truncated("bundle magic ends early");
   }
-  if (std::memcmp(magic, kBundleMagicV1, sizeof(magic)) != 0 &&
-      std::memcmp(magic, kBundleMagicV2, sizeof(magic)) != 0) {
-    if (std::memcmp(magic, kBundleMagicV1, 7) == 0) {
+  if (std::memcmp(magic, kBundleMagic, sizeof(magic)) != 0) {
+    if (std::memcmp(magic, kBundleMagic, 7) == 0) {
       return util::Status::VersionMismatch(
           "unsupported bundle format version byte");
     }
     return util::Status::Corrupt("bad bundle magic");
   }
-  // Each member model carries its own magic (and, in v2, its own frame),
-  // so the bundle version byte only gates which member format is allowed.
+  // Each member model carries its own magic and checksummed frame.
   constexpr FeatureSet kExpected[3] = {FeatureSet::kA, FeatureSet::kAP,
                                        FeatureSet::kAL};
   constexpr const char* kSection[3] = {"A", "AP", "AL"};

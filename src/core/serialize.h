@@ -7,10 +7,11 @@
 // before"). This is a compact, versioned binary format for the historical
 // models and the whole service bundle.
 //
-// Format v2 (current) wraps every model section in a length + CRC-32C
-// frame: a crash mid-save, a truncated copy or a flipped bit fails the
-// load with a typed Status instead of producing a silently-wrong model.
-// v1 artifacts (no checksums) remain readable.
+// Format v2 (the only version) wraps every model section in a length +
+// CRC-32C frame: a crash mid-save, a truncated copy or a flipped bit fails
+// the load with a typed Status instead of producing a silently-wrong
+// model. Any other version (including the unchecksummed v1) is a typed
+// kVersionMismatch.
 #pragma once
 
 #include <iosfwd>
@@ -23,21 +24,15 @@
 
 namespace tipsy::core {
 
-// Current on-disk format version; SaveModel/SaveService accept an explicit
-// version for interop with old readers (and backward-compat tests).
-inline constexpr int kModelFormatVersion = 2;
-
 // --- Single historical model.
-void SaveModel(const HistoricalModel& model, std::ostream& out,
-               int format_version = kModelFormatVersion);
+void SaveModel(const HistoricalModel& model, std::ostream& out);
 // kCorrupt / kVersionMismatch / kTruncated with a message on bad input;
 // never crashes or over-allocates on hostile bytes.
 [[nodiscard]] util::StatusOr<HistoricalModel> LoadModel(std::istream& in);
 
 // --- Whole service bundle (the three historical models; ensembles and
 // the geographic augmentation are reconstructed structurally).
-void SaveService(const TipsyService& service, std::ostream& out,
-                 int format_version = kModelFormatVersion);
+void SaveService(const TipsyService& service, std::ostream& out);
 [[nodiscard]] util::StatusOr<std::unique_ptr<TipsyService>> LoadService(
     std::istream& in, const wan::Wan* wan,
     const geo::MetroCatalogue* metros, TipsyConfig config = {});

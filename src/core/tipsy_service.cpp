@@ -1,6 +1,7 @@
 #include "core/tipsy_service.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 
 #include "util/parallel.h"
@@ -88,14 +89,11 @@ TipsyService::TipsyService(const wan::Wan* wan,
                            TipsyConfig config)
     : wan_(wan), metros_(metros), config_(config) {
   hist_a_ = std::make_unique<HistoricalModel>(
-      FeatureSet::kA, config_.max_links_per_tuple, true,
-      config_.serving_backend);
+      FeatureSet::kA, config_.max_links_per_tuple);
   hist_ap_ = std::make_unique<HistoricalModel>(
-      FeatureSet::kAP, config_.max_links_per_tuple, true,
-      config_.serving_backend);
+      FeatureSet::kAP, config_.max_links_per_tuple);
   hist_al_ = std::make_unique<HistoricalModel>(
-      FeatureSet::kAL, config_.max_links_per_tuple, true,
-      config_.serving_backend);
+      FeatureSet::kAL, config_.max_links_per_tuple);
   if (config_.train_naive_bayes) {
     nb_a_ = std::make_unique<NaiveBayesModel>(FeatureSet::kA);
     nb_al_ = std::make_unique<NaiveBayesModel>(FeatureSet::kAL);
@@ -209,14 +207,11 @@ std::unique_ptr<TipsyService> TipsyService::FromWindowCounts(
   return FromTrainedModels(
       wan, metros, config,
       HistoricalModel::FromCounts(config.max_links_per_tuple, window.a,
-                                  overlay != nullptr ? &overlay->a : nullptr,
-                                  config.serving_backend),
+                                  overlay != nullptr ? &overlay->a : nullptr),
       HistoricalModel::FromCounts(config.max_links_per_tuple, window.ap,
-                                  overlay != nullptr ? &overlay->ap : nullptr,
-                                  config.serving_backend),
+                                  overlay != nullptr ? &overlay->ap : nullptr),
       HistoricalModel::FromCounts(config.max_links_per_tuple, window.al,
-                                  overlay != nullptr ? &overlay->al : nullptr,
-                                  config.serving_backend));
+                                  overlay != nullptr ? &overlay->al : nullptr));
 }
 
 const HistoricalModel& TipsyService::hist(FeatureSet fs) const {
@@ -405,16 +400,11 @@ obs::MetricGroup TipsyService::RegisterMetrics(
       "PredictShift latency, sampled 1-in-64 queries",
       &predict_latency_));
   // Serving-core gauges: shape and build cost of the flat tables this
-  // service probes (all zero on the legacy-map backend).
+  // service probes.
   const auto flat_tables = [this] {
-    std::vector<const FlatTupleTable*> tables;
-    for (const HistoricalModel* model :
-         {hist_a_.get(), hist_ap_.get(), hist_al_.get()}) {
-      if (model->flat_table() != nullptr) {
-        tables.push_back(model->flat_table());
-      }
-    }
-    return tables;
+    return std::array<const FlatTupleTable*, 3>{&hist_a_->flat_table(),
+                                                &hist_ap_->flat_table(),
+                                                &hist_al_->flat_table()};
   };
   group.push_back(registry.RegisterGauge(
       prefix + "_flat_table_tuples",

@@ -24,11 +24,6 @@ struct TipsyConfig {
   // Naive Bayes is an order of magnitude more expensive to query
   // (Appendix A); train it only when an experiment needs it.
   bool train_naive_bayes = false;
-  // What the historical models serve lookups from once finalized. kFlat
-  // (production) probes the open-addressing FlatTupleTable; kLegacyMap
-  // keeps the node-based hash map and exists as the bit-identity
-  // reference for the serving-core tests and benches.
-  ServingBackend serving_backend = ServingBackend::kFlat;
 };
 
 class TipsyService {

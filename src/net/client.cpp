@@ -827,8 +827,10 @@ util::Status HeartbeatListener::Start(std::uint16_t port) {
 void HeartbeatListener::Stop() {
   if (!running_) return;
   stop_.store(true, std::memory_order_release);
-  listener_.Close();
+  // Wake the accept loop without touching the fd it polls; close after.
+  listener_.Shutdown();
   accept_thread_.join();
+  listener_.Close();
   std::vector<std::thread> connections;
   {
     std::lock_guard<std::mutex> lock(connections_mu_);

@@ -88,10 +88,7 @@ Daemon::Daemon(ha::Replica* replica, obs::Registry* registry,
   metric_handles_.push_back(registry_->RegisterGauge(
       p + "_net_ingest_sources",
       "Distinct collector source identities seen on the ingest port",
-      [this] {
-        std::lock_guard<std::mutex> lock(sources_mu_);
-        return static_cast<double>(sources_.size());
-      }));
+      [this] { return ingest_sources_.value(); }));
   metric_handles_.push_back(registry_->RegisterGauge(
       p + "_net_ship_lag_seq",
       "Journal frames the most recently polled ship subscriber still "
@@ -151,12 +148,14 @@ util::Status Daemon::Start() {
 void Daemon::Stop() {
   if (!running_) return;
   stop_.store(true, std::memory_order_release);
-  predict_listener_.Close();
-  ingest_listener_.Close();
-  ship_listener_.Close();
-  metrics_listener_.Close();
+  // Wake the accept loops without touching the fds they are polling; the
+  // listeners are closed only after every loop has returned.
+  Listener* listeners[] = {&predict_listener_, &ingest_listener_,
+                           &ship_listener_, &metrics_listener_};
+  for (Listener* listener : listeners) listener->Shutdown();
   for (auto& thread : accept_threads_) thread.join();
   accept_threads_.clear();
+  for (Listener* listener : listeners) listener->Close();
   std::vector<Connection> connections;
   {
     std::lock_guard<std::mutex> lock(connections_mu_);
@@ -256,6 +255,7 @@ Daemon::SourceState* Daemon::SourceFor(const std::string& source_id) {
       "Ingest read batches processed for collector source " + name,
       &state->batches));
   it = sources_.emplace(name, std::move(state)).first;
+  ingest_sources_.Set(static_cast<double>(sources_.size()));
   return it->second.get();
 }
 

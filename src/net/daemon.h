@@ -268,6 +268,10 @@ class Daemon {
   obs::Counter metrics_scrapes_;
   obs::Counter auth_failures_;
   obs::Gauge ship_lag_seq_;
+  // sources_.size(), kept by SourceFor for the registry gauge: a scrape
+  // must not take sources_mu_ under the registry lock, because SourceFor
+  // registers counters (the registry lock) while holding sources_mu_.
+  obs::Gauge ingest_sources_;
   obs::MetricGroup metric_handles_;
 
   mutable std::mutex sources_mu_;

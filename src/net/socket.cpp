@@ -190,6 +190,10 @@ Listener& Listener::operator=(Listener&& other) noexcept {
 
 Listener::~Listener() { Close(); }
 
+void Listener::Shutdown() {
+  if (fd_ >= 0) (void)::shutdown(fd_, SHUT_RDWR);
+}
+
 void Listener::Close() {
   if (fd_ >= 0) {
     ::close(fd_);

@@ -91,9 +91,15 @@ class Listener {
 
   // Waits up to `timeout_ms` for a connection; kUnavailable on timeout
   // (the accept loops poll this so Stop() is observed promptly), kIoError
-  // once the listener is closed.
+  // once the listener is shut down or closed.
   [[nodiscard]] util::StatusOr<Socket> Accept(int timeout_ms);
 
+  // Stops listening and wakes every thread blocked in Accept() (which then
+  // fails with kIoError). Leaves the descriptor open and unchanged, so it
+  // is safe while other threads are inside Accept(); Close() only once
+  // they have returned, since closing would free the fd number for reuse
+  // under them.
+  void Shutdown();
   void Close();
 
  private:

@@ -65,8 +65,10 @@ ExperimentResult RunExperiment(RowSource& source,
   auto top1_of = [&](const core::FlowFeatures& flow) {
     auto [it, inserted] = top1_cache.try_emplace(flow, util::LinkId{});
     if (inserted) {
-      const auto predictions = reference->Predict(flow, 1, nullptr);
-      if (!predictions.empty()) it->second = predictions.front().link;
+      core::Prediction top1;
+      if (reference->PredictInto(flow, 1, nullptr, {&top1, 1}) == 1) {
+        it->second = top1.link;
+      }
     }
     return it->second;
   };

@@ -242,8 +242,10 @@ util::Status SocketFaultProxy::Start() {
 void SocketFaultProxy::Stop() {
   if (!running_) return;
   stop_.store(true, std::memory_order_release);
-  listener_.Close();
+  // Wake the accept loop without touching the fd it polls; close after.
+  listener_.Shutdown();
   if (accept_thread_.joinable()) accept_thread_.join();
+  listener_.Close();
   std::vector<std::unique_ptr<Link>> links;
   {
     std::lock_guard<std::mutex> lock(links_mu_);

@@ -87,7 +87,7 @@ TEST(HistoricalModel, ProbabilitiesAreByteFractions) {
   model.Add(MakeRow(flow, 1, 200));
   model.Add(MakeRow(flow, 2, 100));
   model.Finalize();
-  const auto predictions = model.Predict(flow, 3, nullptr);
+  const auto predictions = PredictTopK(model, flow, 3, nullptr);
   ASSERT_EQ(predictions.size(), 3u);
   EXPECT_EQ(predictions[0].link, util::LinkId{0});
   EXPECT_DOUBLE_EQ(predictions[0].probability, 0.7);
@@ -102,7 +102,7 @@ TEST(HistoricalModel, RepeatedObservationsAccumulate) {
   model.Add(MakeRow(flow, 1, 150));
   model.Add(MakeRow(flow, 0, 100));
   model.Finalize();
-  const auto predictions = model.Predict(flow, 1, nullptr);
+  const auto predictions = PredictTopK(model, flow, 1, nullptr);
   ASSERT_EQ(predictions.size(), 1u);
   EXPECT_EQ(predictions[0].link, util::LinkId{0});  // 200 > 150
 }
@@ -111,7 +111,7 @@ TEST(HistoricalModel, UnseenTupleHasNoPrediction) {
   HistoricalModel model(FeatureSet::kAP);
   model.Add(MakeRow(MakeFlow(1, 2, 3), 0, 100));
   model.Finalize();
-  EXPECT_TRUE(model.Predict(MakeFlow(1, 99, 3), 3, nullptr).empty());
+  EXPECT_TRUE(PredictTopK(model, MakeFlow(1, 99, 3), 3, nullptr).empty());
   EXPECT_FALSE(model.Knows(MakeFlow(1, 99, 3)));
   EXPECT_TRUE(model.Knows(MakeFlow(1, 2, 3)));
 }
@@ -123,7 +123,7 @@ TEST(HistoricalModel, NoTransferAcrossTuples) {
   model.Add(MakeRow(MakeFlow(1, 2, 3), 0, 100));
   model.Add(MakeRow(MakeFlow(1, 5, 3), 1, 100));
   model.Finalize();
-  const auto predictions = model.Predict(MakeFlow(1, 2, 3), 3, nullptr);
+  const auto predictions = PredictTopK(model, MakeFlow(1, 2, 3), 3, nullptr);
   ASSERT_EQ(predictions.size(), 1u);
   EXPECT_EQ(predictions[0].link, util::LinkId{0});
 }
@@ -133,7 +133,7 @@ TEST(HistoricalModel, ALevelAggregatesAcrossPrefixes) {
   model.Add(MakeRow(MakeFlow(1, 2, 3), 0, 100));
   model.Add(MakeRow(MakeFlow(1, 5, 4), 1, 300));
   model.Finalize();
-  const auto predictions = model.Predict(MakeFlow(1, 77, 9), 2, nullptr);
+  const auto predictions = PredictTopK(model, MakeFlow(1, 77, 9), 2, nullptr);
   ASSERT_EQ(predictions.size(), 2u);
   EXPECT_EQ(predictions[0].link, util::LinkId{1});
   EXPECT_DOUBLE_EQ(predictions[0].probability, 0.75);
@@ -148,7 +148,7 @@ TEST(HistoricalModel, ExclusionRenormalizesOverRemaining) {
   model.Finalize();
   ExclusionMask excluded(3, false);
   excluded[0] = true;
-  const auto predictions = model.Predict(flow, 3, &excluded);
+  const auto predictions = PredictTopK(model, flow, 3, &excluded);
   ASSERT_EQ(predictions.size(), 2u);
   EXPECT_EQ(predictions[0].link, util::LinkId{1});
   EXPECT_DOUBLE_EQ(predictions[0].probability, 0.75);
@@ -161,7 +161,7 @@ TEST(HistoricalModel, AllLinksExcludedGivesEmpty) {
   model.Add(MakeRow(flow, 0, 100));
   model.Finalize();
   ExclusionMask excluded(1, true);
-  EXPECT_TRUE(model.Predict(flow, 3, &excluded).empty());
+  EXPECT_TRUE(PredictTopK(model, flow, 3, &excluded).empty());
 }
 
 TEST(HistoricalModel, MaxLinksPerTupleTruncatesRanking) {
@@ -171,7 +171,7 @@ TEST(HistoricalModel, MaxLinksPerTupleTruncatesRanking) {
     model.Add(MakeRow(flow, l, 100 * (l + 1)));
   }
   model.Finalize();
-  const auto predictions = model.Predict(flow, 10, nullptr);
+  const auto predictions = PredictTopK(model, flow, 10, nullptr);
   ASSERT_EQ(predictions.size(), 2u);
   EXPECT_EQ(predictions[0].link, util::LinkId{5});
   EXPECT_EQ(predictions[1].link, util::LinkId{4});
@@ -185,7 +185,7 @@ TEST(HistoricalModel, UnweightedModeCountsObservations) {
   model.Add(MakeRow(flow, 1, 1));
   model.Add(MakeRow(flow, 1, 1));
   model.Finalize();
-  const auto predictions = model.Predict(flow, 1, nullptr);
+  const auto predictions = PredictTopK(model, flow, 1, nullptr);
   ASSERT_EQ(predictions.size(), 1u);
   EXPECT_EQ(predictions[0].link, util::LinkId{1});
 }
@@ -195,7 +195,7 @@ TEST(HistoricalModel, KZeroGivesEmpty) {
   const auto flow = MakeFlow(1, 2, 3);
   model.Add(MakeRow(flow, 0, 100));
   model.Finalize();
-  EXPECT_TRUE(model.Predict(flow, 0, nullptr).empty());
+  EXPECT_TRUE(PredictTopK(model, flow, 0, nullptr).empty());
 }
 
 TEST(HistoricalModel, MemoryGrowsWithTuples) {
@@ -221,10 +221,10 @@ TEST(NaiveBayes, LearnsClassPriorsAndLikelihoods) {
     model.Add(MakeRow(MakeFlow(2, i, 3), 1, 1000));
   }
   model.Finalize();
-  const auto p1 = model.Predict(MakeFlow(1, 99, 5), 1, nullptr);
+  const auto p1 = PredictTopK(model, MakeFlow(1, 99, 5), 1, nullptr);
   ASSERT_EQ(p1.size(), 1u);
   EXPECT_EQ(p1[0].link, util::LinkId{0});
-  const auto p2 = model.Predict(MakeFlow(2, 99, 5), 1, nullptr);
+  const auto p2 = PredictTopK(model, MakeFlow(2, 99, 5), 1, nullptr);
   EXPECT_EQ(p2[0].link, util::LinkId{1});
 }
 
@@ -240,15 +240,15 @@ TEST(NaiveBayes, GeneralizesAcrossTuplesUnlikeHistorical) {
   nb.Finalize();
   hist.Finalize();
   const auto unseen_combo = MakeFlow(1, 2, 3, 1);  // metro 3 x region 1
-  EXPECT_FALSE(nb.Predict(unseen_combo, 1, nullptr).empty());
-  EXPECT_TRUE(hist.Predict(unseen_combo, 1, nullptr).empty());
+  EXPECT_FALSE(PredictTopK(nb, unseen_combo, 1, nullptr).empty());
+  EXPECT_TRUE(PredictTopK(hist, unseen_combo, 1, nullptr).empty());
 }
 
 TEST(NaiveBayes, UnseenFeatureValueGivesNoPrediction) {
   NaiveBayesModel model(FeatureSet::kA);
   model.Add(MakeRow(MakeFlow(1, 2, 3), 0, 1000));
   model.Finalize();
-  EXPECT_TRUE(model.Predict(MakeFlow(42, 2, 3), 1, nullptr).empty());
+  EXPECT_TRUE(PredictTopK(model, MakeFlow(42, 2, 3), 1, nullptr).empty());
 }
 
 TEST(NaiveBayes, RespectsExclusions) {
@@ -258,7 +258,7 @@ TEST(NaiveBayes, RespectsExclusions) {
   model.Finalize();
   ExclusionMask excluded(2, false);
   excluded[0] = true;
-  const auto predictions = model.Predict(MakeFlow(1, 2, 3), 2, &excluded);
+  const auto predictions = PredictTopK(model, MakeFlow(1, 2, 3), 2, &excluded);
   ASSERT_EQ(predictions.size(), 1u);
   EXPECT_EQ(predictions[0].link, util::LinkId{1});
 }
@@ -269,7 +269,7 @@ TEST(NaiveBayes, ProbabilitiesNormalizedOverTopK) {
   model.Add(MakeRow(MakeFlow(1, 2, 3), 1, 300));
   model.Add(MakeRow(MakeFlow(1, 2, 3), 2, 200));
   model.Finalize();
-  const auto predictions = model.Predict(MakeFlow(1, 2, 3), 3, nullptr);
+  const auto predictions = PredictTopK(model, MakeFlow(1, 2, 3), 3, nullptr);
   ASSERT_EQ(predictions.size(), 3u);
   double total = 0.0;
   for (const auto& p : predictions) total += p.probability;
@@ -290,17 +290,17 @@ TEST(Ensemble, FallsThroughInOrder) {
   a.Finalize();
   SequentialEnsemble ensemble({&ap, &a}, "Hist_AP/A");
   // Seen flow answered by the first stage.
-  auto predictions = ensemble.Predict(seen, 1, nullptr);
+  auto predictions = PredictTopK(ensemble, seen, 1, nullptr);
   ASSERT_FALSE(predictions.empty());
   EXPECT_EQ(predictions[0].link, util::LinkId{0});
   EXPECT_EQ(ensemble.last_stage(), 0);
   // AP miss falls through to A.
-  predictions = ensemble.Predict(same_as_only, 1, nullptr);
+  predictions = PredictTopK(ensemble, same_as_only, 1, nullptr);
   ASSERT_FALSE(predictions.empty());
   EXPECT_EQ(predictions[0].link, util::LinkId{1});
   EXPECT_EQ(ensemble.last_stage(), 1);
   // Complete miss.
-  EXPECT_TRUE(ensemble.Predict(MakeFlow(5, 5, 5), 1, nullptr).empty());
+  EXPECT_TRUE(PredictTopK(ensemble, MakeFlow(5, 5, 5), 1, nullptr).empty());
   EXPECT_EQ(ensemble.last_stage(), -1);
 }
 
@@ -317,7 +317,7 @@ TEST(Ensemble, ExclusionTriggersFallthrough) {
   SequentialEnsemble ensemble({&ap, &a}, "Hist_AP/A");
   ExclusionMask excluded(2, false);
   excluded[0] = true;
-  const auto predictions = ensemble.Predict(flow, 2, &excluded);
+  const auto predictions = PredictTopK(ensemble, flow, 2, &excluded);
   ASSERT_EQ(predictions.size(), 1u);
   EXPECT_EQ(predictions[0].link, util::LinkId{1});
 }
@@ -367,7 +367,7 @@ TEST_F(GeoModelTest, AppendsSamePeerLinksByDistance) {
   base.Finalize();
   GeoAugmentedModel geo(&base, wan_.get(), &topology_.metros);
   // Base knows one link; ask for three.
-  const auto predictions = geo.Predict(flow, 3, nullptr);
+  const auto predictions = PredictTopK(geo, flow, 3, nullptr);
   ASSERT_EQ(predictions.size(), 3u);
   EXPECT_EQ(predictions[0].link, anchor_->id);
   // Appended links all belong to the anchor's peer AS and come in
@@ -388,7 +388,7 @@ TEST_F(GeoModelTest, AnchorsOnExcludedBestMatch) {
   GeoAugmentedModel geo(&base, wan_.get(), &topology_.metros);
   ExclusionMask excluded(wan_->link_count(), false);
   excluded[anchor_->id.value()] = true;
-  const auto predictions = geo.Predict(flow, 2, &excluded);
+  const auto predictions = PredictTopK(geo, flow, 2, &excluded);
   // The base model has nothing left, but geography fills in starting
   // from the (excluded) historical best match.
   ASSERT_EQ(predictions.size(), 2u);
@@ -402,7 +402,7 @@ TEST_F(GeoModelTest, UnknownFlowStaysUnknown) {
   HistoricalModel base(FeatureSet::kAL);
   base.Finalize();
   GeoAugmentedModel geo(&base, wan_.get(), &topology_.metros);
-  EXPECT_TRUE(geo.Predict(MakeFlow(1, 2, 3), 3, nullptr).empty());
+  EXPECT_TRUE(PredictTopK(geo, MakeFlow(1, 2, 3), 3, nullptr).empty());
 }
 
 // -------------------------------------------------------------- evaluator

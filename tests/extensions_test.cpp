@@ -129,7 +129,7 @@ TEST_F(OnlineTest, RetrainsOnDayBoundaries) {
   ASSERT_NE(retrainer.current(), nullptr);
   // The day-0 data is in the current model.
   const auto* hist = retrainer.current()->Find("Hist_AP");
-  const auto predictions = hist->Predict(flow, 1, nullptr);
+  const auto predictions = core::PredictTopK(*hist, flow, 1, nullptr);
   ASSERT_FALSE(predictions.empty());
   EXPECT_EQ(predictions[0].link, util::LinkId{0});
 }
@@ -149,8 +149,8 @@ TEST_F(OnlineTest, WindowDropsStaleDays) {
   EXPECT_LE(retrainer.buffered_days(), 2u);
   const auto* hist = retrainer.current()->Find("Hist_AP");
   // Day 0 aged out of the 2-day window.
-  EXPECT_TRUE(hist->Predict(old_flow, 1, nullptr).empty());
-  EXPECT_FALSE(hist->Predict(new_flow, 1, nullptr).empty());
+  EXPECT_TRUE(core::PredictTopK(*hist, old_flow, 1, nullptr).empty());
+  EXPECT_FALSE(core::PredictTopK(*hist, new_flow, 1, nullptr).empty());
 }
 
 TEST_F(OnlineTest, CurrentServiceStableUntilNextBoundary) {

@@ -164,7 +164,7 @@ TEST(EndToEnd, SuspiciousTrafficIsDetectable) {
 
   const auto* model = result.tipsy->Find("Hist_AP");
   const auto flow = world.FlowFeaturesOf(0);
-  const auto predictions = model->Predict(flow, 8, nullptr);
+  const auto predictions = core::PredictTopK(*model, flow, 8, nullptr);
   ASSERT_FALSE(predictions.empty());
   // Pick a link the model has never associated with this flow.
   std::uint32_t absurd = 0;

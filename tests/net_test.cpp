@@ -1676,6 +1676,111 @@ TEST(Daemon, ThreeConcurrentCollectorsSurviveFaultsWithPerSourceAttribution) {
   }
 }
 
+// Stop() must not race the accept loops: it wakes them without touching
+// the listening fds they poll, joins them, and only then closes the fds
+// (closing first would free the fd numbers for reuse under a loop still
+// inside Accept). The TSan pass of tools/run_sanitized_fuzz.sh runs this
+// start/stop loop with predicts, ingest and bare connects in flight.
+TEST(Daemon, StartStopLoopWithTrafficInFlight) {
+  NetFixture fixture;
+  TempDir dir("daemon_start_stop");
+  auto replica = fixture.OpenReplica(fixture.MakeReplicaConfig(dir, "d"));
+  ASSERT_TRUE(replica.ok()) << replica.status().ToString();
+  obs::Registry registry;
+  net::Daemon daemon(&*replica, &registry, fixture.FastDaemonConfig());
+
+  net::PredictRequest request;
+  for (const auto& row : fixture.HourRows(0)) {
+    request.flows.push_back(
+        {core::FlowFeatures{row.src_asn, row.src_prefix24, row.src_metro,
+                            row.dest_region, row.dest_service},
+         static_cast<double>(row.bytes)});
+  }
+  util::HourIndex next_hour = 0;
+  std::uint64_t predicts_answered = 0;
+  for (int round = 0; round < 6; ++round) {
+    ASSERT_TRUE(daemon.Start().ok()) << "round " << round;
+    ASSERT_TRUE(daemon.running());
+    const std::uint16_t ports[] = {daemon.predict_port(), daemon.ingest_port(),
+                                   daemon.ship_port(), daemon.metrics_port()};
+    std::atomic<bool> stop{false};
+    std::atomic<std::uint64_t> answered{0};
+    std::thread reader([&] {
+      net::PredictClient predict(
+          fixture.FastClientConfig(daemon.predict_port()));
+      while (!stop.load()) {
+        if (predict.Predict(request, &stop).ok()) answered.fetch_add(1);
+      }
+    });
+    std::thread dialer([&] {
+      // Bare connects on every port keep the accept loops busy.
+      while (!stop.load()) {
+        for (const std::uint16_t port : ports) {
+          (void)net::Connect("127.0.0.1", port, 100);
+        }
+      }
+    });
+    net::CollectorClient collector(
+        fixture.FastClientConfig(daemon.ingest_port()), &registry,
+        "collector_" + std::to_string(round));
+    for (int h = 0; h < 2; ++h, ++next_hour) {
+      const auto rows = fixture.HourRows(next_hour);
+      ASSERT_TRUE(collector.SendHour(next_hour, rows).ok());
+    }
+    WaitUntil([&] { return answered.load() >= 2; }, 2000);
+    daemon.Stop();  // while the reader and dialer are still going
+    EXPECT_FALSE(daemon.running());
+    stop.store(true);
+    reader.join();
+    dialer.join();
+    predicts_answered += answered.load();
+  }
+  EXPECT_EQ(daemon.frames_applied(), static_cast<std::uint64_t>(next_hour));
+  EXPECT_GT(predicts_answered, 0u);
+}
+
+// A /metrics scrape racing a new collector's hello: the ingest-sources
+// gauge is read under the registry lock, while registering a new source's
+// counters takes the registry lock. The gauge must not take the daemon's
+// source lock, or the two orders invert (TSan reports the inversion; a
+// real interleaving deadlocks).
+TEST(Daemon, MetricsScrapesRaceNewIngestSources) {
+  NetFixture fixture;
+  TempDir dir("daemon_scrape_sources");
+  auto replica = fixture.OpenReplica(fixture.MakeReplicaConfig(dir, "d"));
+  ASSERT_TRUE(replica.ok()) << replica.status().ToString();
+  obs::Registry registry;
+  net::Daemon daemon(&*replica, &registry, fixture.FastDaemonConfig());
+  ASSERT_TRUE(daemon.Start().ok());
+
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> scrapes{0};
+  std::thread scraper([&] {
+    while (!done.load()) {
+      (void)registry.RenderPrometheusText();
+      (void)ScrapeMetrics(daemon.metrics_port());
+      scrapes.fetch_add(1);
+    }
+  });
+  constexpr int kSources = 8;
+  for (int c = 0; c < kSources; ++c) {
+    auto client_cfg = fixture.FastClientConfig(daemon.ingest_port());
+    client_cfg.source_id = "source" + std::to_string(c);
+    net::CollectorClient collector(client_cfg, &registry,
+                                   "collector_" + std::to_string(c));
+    ASSERT_TRUE(collector.SendHour(c, fixture.HourRows(c)).ok()) << c;
+  }
+  done.store(true);
+  scraper.join();
+  EXPECT_GT(scrapes.load(), 0u);
+  EXPECT_EQ(daemon.ingest_source_stats().size(),
+            static_cast<std::size_t>(kSources));
+  const std::string text = registry.RenderPrometheusText();
+  EXPECT_NE(text.find("tipsyd_net_ingest_sources " + std::to_string(kSources)),
+            std::string::npos);
+  daemon.Stop();
+}
+
 // ------------------------------------------------------- predict pool
 
 // Feeds `replica` enough hours (through the daemon's wire, so the gate

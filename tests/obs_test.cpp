@@ -360,7 +360,7 @@ TEST(ObsServiceWiring, EnsembleStageHitsFollowLastStage) {
 
   const core::ExclusionMask excluded(fixture.wan.link_count(), false);
   // A flow the finest stage has seen answers at stage 0.
-  (void)ensemble->Predict(MakeFlow(0, 0, 0), 3, &excluded);
+  (void)core::PredictTopK(*ensemble, MakeFlow(0, 0, 0), 3, &excluded);
   const int answered = ensemble->last_stage();
 #ifdef TIPSY_NO_OBS
   EXPECT_EQ(ensemble->stage_hits(0), 0u);

@@ -58,8 +58,8 @@ TEST(ModelSerialization, RoundTripPreservesPredictions) {
   EXPECT_EQ(restored->max_links_per_tuple(), 8u);
   for (std::uint32_t f = 0; f < 50; ++f) {
     const auto flow = MakeFlow(f % 7, f, 3);
-    const auto original = model.Predict(flow, 3, nullptr);
-    const auto loaded = restored->Predict(flow, 3, nullptr);
+    const auto original = core::PredictTopK(model, flow, 3, nullptr);
+    const auto loaded = core::PredictTopK(*restored, flow, 3, nullptr);
     ASSERT_EQ(original.size(), loaded.size());
     for (std::size_t i = 0; i < original.size(); ++i) {
       EXPECT_EQ(original[i].link, loaded[i].link);
@@ -94,7 +94,8 @@ TEST(ModelSerialization, EmptyModelRoundTrips) {
   const auto restored = core::LoadModel(buffer);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(restored->tuple_count(), 0u);
-  EXPECT_TRUE(restored->Predict(MakeFlow(1, 2, 3), 3, nullptr).empty());
+  EXPECT_TRUE(
+      core::PredictTopK(*restored, MakeFlow(1, 2, 3), 3, nullptr).empty());
 }
 
 TEST(ServiceSerialization, BundleRoundTripsThroughDisk) {
@@ -126,8 +127,10 @@ TEST(ServiceSerialization, BundleRoundTripsThroughDisk) {
   for (std::uint32_t f = 0; f < 30; ++f) {
     const auto flow = MakeFlow(f % 5, f, f % 4);
     for (const char* name : {"Hist_AP", "Hist_AL+G", "Hist_AP/AL/A"}) {
-      const auto original = service.Find(name)->Predict(flow, 3, nullptr);
-      const auto loaded = (*restored)->Find(name)->Predict(flow, 3, nullptr);
+      const auto original =
+          core::PredictTopK(*service.Find(name), flow, 3, nullptr);
+      const auto loaded =
+          core::PredictTopK(*(*restored)->Find(name), flow, 3, nullptr);
       ASSERT_EQ(original.size(), loaded.size()) << name;
       for (std::size_t i = 0; i < original.size(); ++i) {
         EXPECT_EQ(original[i].link, loaded[i].link);
@@ -272,8 +275,9 @@ TEST(RowFile, TrainServiceFromFileMatchesLive) {
 
   for (std::size_t f = 0; f < 40; ++f) {
     const auto flow = world.FlowFeaturesOf(f);
-    const auto a = live.Find("Hist_AP")->Predict(flow, 3, nullptr);
-    const auto b = offline.Find("Hist_AP")->Predict(flow, 3, nullptr);
+    const auto a = core::PredictTopK(*live.Find("Hist_AP"), flow, 3, nullptr);
+    const auto b =
+        core::PredictTopK(*offline.Find("Hist_AP"), flow, 3, nullptr);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].link, b[i].link);

@@ -10,6 +10,7 @@
 #include "cms/cms.h"
 #include "core/online.h"
 #include "core/serialize.h"
+#include "ha/journal.h"
 #include "pipeline/storage.h"
 #include "scenario/fault_injection.h"
 #include "scenario/scenario.h"
@@ -186,40 +187,6 @@ struct BundleFixture {
 
 // ---------------------------------------------------- format back-compat
 
-TEST(FormatCompat, ModelV1StillLoads) {
-  core::HistoricalModel model(core::FeatureSet::kAP, 8);
-  for (std::uint32_t f = 0; f < 20; ++f) {
-    model.Add(MakeRow(MakeFlow(f % 5, f, 1), f % 4, 100 + f));
-  }
-  model.Finalize();
-
-  std::stringstream v1;
-  core::SaveModel(model, v1, /*format_version=*/1);
-  const auto restored = core::LoadModel(v1);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_EQ(restored->tuple_count(), model.tuple_count());
-  for (std::uint32_t f = 0; f < 20; ++f) {
-    const auto flow = MakeFlow(f % 5, f, 1);
-    const auto original = model.Predict(flow, 3, nullptr);
-    const auto loaded = restored->Predict(flow, 3, nullptr);
-    ASSERT_EQ(original.size(), loaded.size());
-    for (std::size_t i = 0; i < original.size(); ++i) {
-      EXPECT_EQ(original[i].link, loaded[i].link);
-      EXPECT_DOUBLE_EQ(original[i].probability, loaded[i].probability);
-    }
-  }
-}
-
-TEST(FormatCompat, BundleV1StillLoads) {
-  BundleFixture fixture;
-  std::stringstream v1;
-  core::SaveService(fixture.service, v1, /*format_version=*/1);
-  const auto restored =
-      core::LoadService(v1, &fixture.wan, &fixture.topology.metros);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_TRUE((*restored)->trained());
-}
-
 TEST(FormatCompat, UnknownFutureVersionIsVersionMismatch) {
   BundleFixture fixture;
   std::stringstream current;
@@ -231,6 +198,64 @@ TEST(FormatCompat, UnknownFutureVersionIsVersionMismatch) {
       core::LoadService(future, &fixture.wan, &fixture.topology.metros);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), util::StatusCode::kVersionMismatch);
+
+  // v1 artifacts (unchecksummed, no longer read) are other versions too:
+  // a v1-magic bundle, and a v1-magic model frame alone or inside a
+  // current bundle.
+  std::stringstream model_bytes;
+  core::SaveModel(fixture.service.hist(core::FeatureSet::kA), model_bytes);
+  std::string v1_model = model_bytes.str();
+  v1_model[7] = '1';  // TIPSYHM1
+  std::string v1_bundle = current.str();
+  v1_bundle[7] = '1';  // TIPSYSV1
+  std::string bundle_with_v1_member = current.str();
+  bundle_with_v1_member[8 + 7] = '1';  // first member: TIPSYHM1
+  std::istringstream v1_model_in(v1_model);
+  const auto v1_model_result = core::LoadModel(v1_model_in);
+  ASSERT_FALSE(v1_model_result.ok());
+  EXPECT_EQ(v1_model_result.status().code(),
+            util::StatusCode::kVersionMismatch);
+  for (const std::string* bundle : {&v1_bundle, &bundle_with_v1_member}) {
+    std::istringstream in(*bundle);
+    const auto loaded =
+        core::LoadService(in, &fixture.wan, &fixture.topology.metros);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), util::StatusCode::kVersionMismatch);
+  }
+
+  // A journal compaction manifest's magic is byte-for-byte the v1 model
+  // magic ("TIPSYHM1"): a real manifest file handed to the model loader
+  // must be refused as another version, never parsed as a model; handed
+  // to the bundle loader it is simply not a bundle.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   "tipsy_format_compat_manifest";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string journal_path = (dir / "hours.journal").string();
+  {
+    auto journal = ha::Journal::Open(journal_path, /*fsync_appends=*/false);
+    ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+    for (util::HourIndex h = 0; h < 3; ++h) {
+      const auto appended =
+          journal->Append(ha::JournalRecordKind::kHeartbeat, h, {});
+      ASSERT_TRUE(appended.ok()) << appended.status().ToString();
+    }
+    ASSERT_TRUE(journal->Compact(2).ok());
+  }
+  const auto manifest =
+      util::ReadFileToString(ha::JournalManifestPath(journal_path));
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  std::istringstream manifest_as_model(*manifest);
+  const auto model_from_manifest = core::LoadModel(manifest_as_model);
+  ASSERT_FALSE(model_from_manifest.ok());
+  EXPECT_EQ(model_from_manifest.status().code(),
+            util::StatusCode::kVersionMismatch);
+  std::istringstream manifest_as_bundle(*manifest);
+  const auto bundle_from_manifest = core::LoadService(
+      manifest_as_bundle, &fixture.wan, &fixture.topology.metros);
+  ASSERT_FALSE(bundle_from_manifest.ok());
+  EXPECT_EQ(bundle_from_manifest.status().code(), util::StatusCode::kCorrupt);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(FormatCompat, BundleSavesAtomicallyToDisk) {

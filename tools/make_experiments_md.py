@@ -183,18 +183,16 @@ irreducible atomic RMWs. The latency histogram is sampled 1-in-64
 queries; per-primitive costs (counter increment, histogram observe,
 span, scrape) localize any regression."""),
     ("bench_serving_core", "Serving core: flat tables + epoch swap (not a paper table)", """
-Raw speed of the rebuilt serving core. The open-addressing
-`FlatTupleTable` backend (production default) races the legacy
-node-based hash map it replaced — same trained model, same query
-stream, both lanes uninstrumented, alternating min-of-rounds per batch
-size — and `core::ModelEpoch`'s lock-free publish/acquire primitives
-are priced alongside the one-time flat-table build. The headline uses
-the same round-count weighting `bench_obs` has always used, so the
-`vs recorded` ratio is apples-to-apples against the 149.2 ns/query
-recorded in `BENCH_obs.json` before the flat core landed. Every
-number here is bit-identical across backends by construction
-(`tests/serving_core_test.cpp` diffs exports, predictions, and
-snapshot round trips at the bit level)."""),
+Raw speed of the serving core. The open-addressing `FlatTupleTable`
+(the only serving backend) answers uninstrumented `PredictShift`
+batches, min-of-rounds per batch size, and `core::ModelEpoch`'s
+lock-free publish/acquire primitives are priced alongside the one-time
+flat-table build. The headline uses the same round-count weighting
+`bench_obs` has always used, so the `vs recorded` ratio is
+apples-to-apples against the 149.2 ns/query recorded in
+`BENCH_obs.json` before the flat core landed. What the tables serve is
+checked bit for bit against a reference fold of the paper's estimator
+(`tests/reference_fold.h`, exercised by `tests/serving_core_test.cpp`)."""),
 ]
 
 # Benches documented by hand directly in EXPERIMENTS.md (preserved
