@@ -38,6 +38,7 @@ DailyRetrainer::DailyRetrainer(const wan::Wan* wan,
         policy_.drift_warmup_hours, policy_.drift_min_hour_flows,
         policy_.drift_sample_flows});
   }
+  PublishStatus();
 }
 
 std::int64_t DailyRetrainer::DecayGeneration(util::HourIndex day) const {
@@ -88,7 +89,7 @@ void DailyRetrainer::OnDayBoundary(util::HourIndex new_day) {
   // A new day began: retrain on everything buffered so far (the just
   // completed days). On failure the last-good model keeps serving and a
   // bounded number of retries is scheduled on the following hours.
-  if (TryRetrain().ok()) {
+  if (TryRetrainInternal(drift_retrain_pending_).ok()) {
     pending_retries_ = 0;
   } else {
     pending_retries_ = policy_.max_retrain_retries;
@@ -98,10 +99,15 @@ void DailyRetrainer::OnDayBoundary(util::HourIndex new_day) {
 
 void DailyRetrainer::AttemptScheduledRetrain() {
   --pending_retries_;
-  if (TryRetrain().ok()) pending_retries_ = 0;
+  if (TryRetrainInternal(drift_retrain_pending_).ok()) pending_retries_ = 0;
 }
 
 void DailyRetrainer::AdvanceTo(util::HourIndex hour) {
+  AdvanceClock(hour);
+  PublishStatus();
+}
+
+void DailyRetrainer::AdvanceClock(util::HourIndex hour) {
   if (last_day_ == kNoDay) {
     // First observation: initialize the clock, nothing completed yet.
     last_day_ = util::DayIndex(hour);
@@ -140,9 +146,10 @@ void DailyRetrainer::Ingest(util::HourIndex hour,
     // Out-of-order delivery: dropping beats folding late telemetry into
     // the wrong day buffer (the contract is monotone non-decreasing).
     dropped_hours_.Increment();
+    PublishStatus();
     return;
   }
-  AdvanceTo(hour);
+  AdvanceClock(hour);
   const util::HourIndex day = util::DayIndex(hour);
   if (days_.empty() || days_.back().day != day) OpenDay(day);
   auto& buffer = days_.back();
@@ -164,10 +171,13 @@ void DailyRetrainer::Ingest(util::HourIndex hour,
     open_hour_.AddRows(rows);
   }
   if (drift_.has_value()) drift_->ObserveRows(hour, rows, current_.get());
+  PublishStatus();
 }
 
 util::Status DailyRetrainer::TryRetrain() {
-  return TryRetrainInternal(drift_retrain_pending_);
+  util::Status status = TryRetrainInternal(drift_retrain_pending_);
+  PublishStatus();
+  return status;
 }
 
 util::Status DailyRetrainer::TryRetrainInternal(bool drift_shrink) {
@@ -320,13 +330,18 @@ const TipsyService* DailyRetrainer::Retrain() {
   return current_.get();
 }
 
-ModelHealth DailyRetrainer::health() const {
-  if (current_ == nullptr) return ModelHealth::kNone;
-  const util::HourIndex now_day = util::DayIndex(last_observed_hour_);
-  const util::HourIndex age = now_day - trained_through_day_;
-  if (age <= policy_.stale_after_days) return ModelHealth::kFresh;
-  if (age <= policy_.expire_after_days) return ModelHealth::kStale;
-  return ModelHealth::kExpired;
+void DailyRetrainer::PublishStatus() {
+  const ServiceHealth fold = health_snapshot();
+  gauges_.consecutive_failures.Set(
+      static_cast<double>(fold.consecutive_failures));
+  gauges_.buffered_days.Set(static_cast<double>(fold.buffered_days));
+  gauges_.model_age_days.Set(static_cast<double>(fold.model_age_days));
+  gauges_.drift_recent_accuracy.Set(fold.drift_recent_accuracy);
+  gauges_.drift_baseline_accuracy.Set(fold.drift_baseline_accuracy);
+  gauges_.drift_distribution_distance.Set(fold.drift_distribution_distance);
+  // Last, with release order: the model this status describes is already
+  // in the epoch (the retrain published it first).
+  status_.Store(ServingStatus{fold.health, fold.drift_state});
 }
 
 RetrainerState DailyRetrainer::ExportState() const {
@@ -477,18 +492,22 @@ util::Status DailyRetrainer::RestoreState(const RetrainerState& state) {
   pending_retries_ = state.pending_retries;
   current_ = std::move(restored);
   if (epoch_ != nullptr) epoch_->Publish(current_);
+  PublishStatus();
   return util::Status::Ok();
 }
 
 ServiceHealth DailyRetrainer::health_snapshot() const {
   ServiceHealth snapshot;
-  snapshot.health = health();
+  if (current_ != nullptr) {
+    const util::HourIndex age =
+        util::DayIndex(last_observed_hour_) - trained_through_day_;
+    snapshot.model_age_days = static_cast<int>(age);
+    snapshot.health = age <= policy_.stale_after_days ? ModelHealth::kFresh
+                      : age <= policy_.expire_after_days
+                          ? ModelHealth::kStale
+                          : ModelHealth::kExpired;
+  }
   snapshot.trained_through_day = trained_through_day_;
-  snapshot.model_age_days =
-      current_ == nullptr
-          ? 0
-          : static_cast<int>(util::DayIndex(last_observed_hour_) -
-                             trained_through_day_);
   snapshot.last_ingest_hour = last_observed_hour_;
   snapshot.buffered_days = days_.size();
   snapshot.retrain_count = static_cast<std::size_t>(retrain_count_.value());
@@ -498,8 +517,8 @@ ServiceHealth DailyRetrainer::health_snapshot() const {
   snapshot.dropped_hours = static_cast<std::size_t>(dropped_hours_.value());
   snapshot.missing_days = static_cast<std::size_t>(missing_days_.value());
   snapshot.partial_days = static_cast<std::size_t>(partial_days_.value());
-  snapshot.drift_state = drift_state();
   if (drift_.has_value()) {
+    snapshot.drift_state = drift_->state();
     snapshot.drift_recent_accuracy = drift_->recent_accuracy();
     snapshot.drift_baseline_accuracy = drift_->baseline_accuracy();
     snapshot.drift_distribution_distance = drift_->distribution_distance();
@@ -544,14 +563,14 @@ obs::MetricGroup DailyRetrainer::RegisterMetrics(
   group.push_back(registry.RegisterGauge(
       prefix + "_consecutive_failures",
       "Failed retrain attempts since the last success",
-      [this] { return static_cast<double>(consecutive_failures_); }));
+      [this] { return gauges_.consecutive_failures.value(); }));
   group.push_back(registry.RegisterGauge(
       prefix + "_buffered_days", "Day buffers held in the rolling window",
-      [this] { return static_cast<double>(days_.size()); }));
+      [this] { return gauges_.buffered_days.value(); }));
   group.push_back(registry.RegisterGauge(
       prefix + "_model_age_days",
       "Ingest days since the served model's newest training day",
-      [this] { return static_cast<double>(health_snapshot().model_age_days); }));
+      [this] { return gauges_.model_age_days.value(); }));
   group.push_back(registry.RegisterGauge(
       prefix + "_model_health",
       "Served model health: 0=NONE 1=FRESH 2=STALE 3=EXPIRED",
@@ -572,20 +591,16 @@ obs::MetricGroup DailyRetrainer::RegisterMetrics(
       prefix + "_drift_recent_accuracy",
       "Fast-EWMA top-1 accuracy of the served model on the live stream "
       "(-1 until seeded)",
-      [this] { return drift_.has_value() ? drift_->recent_accuracy() : -1.0; }));
+      [this] { return gauges_.drift_recent_accuracy.value(); }));
   group.push_back(registry.RegisterGauge(
       prefix + "_drift_baseline_accuracy",
       "Slow-EWMA baseline top-1 accuracy (-1 until seeded)",
-      [this] {
-        return drift_.has_value() ? drift_->baseline_accuracy() : -1.0;
-      }));
+      [this] { return gauges_.drift_baseline_accuracy.value(); }));
   group.push_back(registry.RegisterGauge(
       prefix + "_drift_distribution_distance",
       "Total-variation distance of the last scored hour's per-link byte "
       "share against the baseline share",
-      [this] {
-        return drift_.has_value() ? drift_->distribution_distance() : 0.0;
-      }));
+      [this] { return gauges_.drift_distribution_distance.value(); }));
   return group;
 }
 

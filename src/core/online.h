@@ -119,6 +119,17 @@ struct RetrainPolicy {
   int drift_shrink_window_days = 7;
 };
 
+// What the predict plane stamps on every response. The retrainer
+// publishes both fields together, so one load never pairs one
+// mutation's health with another's drift state.
+struct ServingStatus {
+  ModelHealth health = ModelHealth::kNone;
+  DriftState drift_state = DriftState::kStable;
+
+  friend bool operator==(const ServingStatus&,
+                         const ServingStatus&) = default;
+};
+
 // Snapshot of the serving plane's condition; cheap to copy.
 struct ServiceHealth {
   ModelHealth health = ModelHealth::kNone;
@@ -297,8 +308,9 @@ class DailyRetrainer {
   // Attaches an epoch publication point: the current service (possibly
   // nullptr) is published immediately, and every later successful
   // retrain or restore publishes its fresh service. The retrainer itself
-  // is still single-writer - concurrent readers go through the epoch,
-  // never through this object. Pass nullptr to detach.
+  // is still single-writer - concurrent readers go through the epoch and
+  // the published status (serving_status(), health(), drift_state()),
+  // never through the other accessors. Pass nullptr to detach.
   void PublishTo(ModelEpoch* epoch) {
     epoch_ = epoch;
     if (epoch_ != nullptr) epoch_->Publish(current_);
@@ -313,7 +325,20 @@ class DailyRetrainer {
   [[nodiscard]] util::Status TryRetrain();
 
   // --- Health.
-  [[nodiscard]] ModelHealth health() const;
+  // The serving status as of the end of the latest mutation: Ingest,
+  // AdvanceTo, TryRetrain/Retrain, RestoreState and the constructor each
+  // publish it last, so these are plain atomic loads that any thread may
+  // call while the writer works (a predict stamping its response must
+  // not wait behind a day-boundary retrain). A retrain publishes its
+  // model to the attached ModelEpoch before the status that describes
+  // it: a reader that loads the status first and then acquires the
+  // epoch never pairs a health with an older model than it describes.
+  [[nodiscard]] ServingStatus serving_status() const {
+    return status_.Load();
+  }
+  [[nodiscard]] ModelHealth health() const { return status_.Load().health; }
+  // Every health field, folded from the retrainer's internals: call it
+  // from the writer's thread (or while no mutation is in flight).
   [[nodiscard]] ServiceHealth health_snapshot() const;
 
   // --- Snapshot/restore (HA warm-start).
@@ -344,8 +369,10 @@ class DailyRetrainer {
 
   // Registers the retrainer's health counters, the retrain-duration
   // histogram and derived gauges (model age, health, buffered days) under
-  // `prefix` (e.g. "tipsy_retrainer"). The gauge callbacks capture
-  // `this`: drop the handles before the retrainer is destroyed.
+  // `prefix` (e.g. "tipsy_retrainer"). Every gauge reads a value the
+  // retrainer published at the end of its latest mutation, so a scrape
+  // may run on any thread. The gauge callbacks capture `this`: drop the
+  // handles before the retrainer is destroyed.
   [[nodiscard]] obs::MetricGroup RegisterMetrics(obs::Registry& registry,
                                                  const std::string& prefix)
       const;
@@ -368,9 +395,9 @@ class DailyRetrainer {
     return policy_.drift_detection;
   }
   // kStable when drift detection is off - safe to wire into the CMS
-  // drift gate unconditionally.
+  // drift gate unconditionally. A published load, like health().
   [[nodiscard]] DriftState drift_state() const {
-    return drift_.has_value() ? drift_->state() : DriftState::kStable;
+    return status_.Load().drift_state;
   }
   [[nodiscard]] std::size_t drift_events() const {
     return static_cast<std::size_t>(drift_events_.value());
@@ -412,6 +439,36 @@ class DailyRetrainer {
     bool folded = false;
   };
 
+  // Copyable atomic cell for the published status: the retrainer is
+  // moved into ha::Replica, and std::atomic is neither copyable nor
+  // movable. Release store, acquire load (see health()).
+  class StatusCell {
+   public:
+    StatusCell() = default;
+    StatusCell(const StatusCell& other) : value_(other.Load()) {}
+    StatusCell& operator=(const StatusCell& other) {
+      if (this != &other) Store(other.Load());
+      return *this;
+    }
+    void Store(ServingStatus status) {
+      value_.store(status, std::memory_order_release);
+    }
+    [[nodiscard]] ServingStatus Load() const {
+      return value_.load(std::memory_order_acquire);
+    }
+
+   private:
+    static_assert(std::atomic<ServingStatus>::is_always_lock_free);
+    std::atomic<ServingStatus> value_{ServingStatus{}};
+  };
+
+  // Publishes health_snapshot()'s serving status and derived gauges;
+  // the last step of every public mutation, and only the writer calls
+  // it.
+  void PublishStatus();
+  // AdvanceTo without the publish, so Ingest publishes once, at its end.
+  void AdvanceClock(util::HourIndex hour);
+
   // Newest buffered data day, min() when nothing is buffered.
   [[nodiscard]] util::HourIndex NewestBufferedDay() const;
   void OpenDay(util::HourIndex day);
@@ -447,7 +504,7 @@ class DailyRetrainer {
   // Health counters are obs::Counter so the registry serves them
   // directly - health_snapshot()/ExportState() fold the same cells, no
   // double bookkeeping. consecutive_failures_ resets on every success,
-  // so it stays a plain field (exported as a gauge).
+  // so it stays a plain field (exported through a published gauge).
   obs::Counter retrain_count_;
   obs::Counter retrain_failures_;
   std::size_t consecutive_failures_ = 0;
@@ -480,6 +537,19 @@ class DailyRetrainer {
   bool drift_retrain_pending_ = false;
   obs::Counter drift_events_;
   obs::Counter drift_early_retrains_;
+  // Published by PublishStatus for readers on other threads: the status
+  // the predict plane stamps, and the values behind the registry's
+  // derived gauges (a scrape never reads the fields above).
+  StatusCell status_;
+  struct PublishedGauges {
+    obs::Gauge consecutive_failures;
+    obs::Gauge buffered_days;
+    obs::Gauge model_age_days;
+    obs::Gauge drift_recent_accuracy;
+    obs::Gauge drift_baseline_accuracy;
+    obs::Gauge drift_distribution_distance;
+  };
+  PublishedGauges gauges_;
 };
 
 }  // namespace tipsy::core

@@ -99,6 +99,7 @@ util::StatusOr<Replica> Replica::Open(const wan::Wan* wan,
   } else {
     replica.recovery_.source = RestoreSource::kJournalOnly;
   }
+  replica.PublishProgress();
   return replica;
 }
 
@@ -112,6 +113,12 @@ void Replica::Apply(const JournalRecord& record) {
   applied_seq_ = record.seq + 1;
   last_applied_day_ =
       std::max(last_applied_day_, util::DayIndex(record.hour));
+  PublishProgress();
+}
+
+void Replica::PublishProgress() {
+  published_applied_seq_.Set(static_cast<double>(applied_seq_));
+  published_journal_base_seq_.Set(static_cast<double>(journal_.base_seq()));
 }
 
 util::Status Replica::CheckpointAfterDayCrossing() {
@@ -206,7 +213,9 @@ util::Status Replica::CompactThroughSnapshot() {
   if (droppable < std::max<std::uint64_t>(config_.compact_min_records, 1)) {
     return util::Status::Ok();
   }
-  return journal_.Compact(last_snapshot_seq_);
+  util::Status status = journal_.Compact(last_snapshot_seq_);
+  PublishProgress();
+  return status;
 }
 
 util::Status Replica::InstallSnapshot(const SnapshotState& state) {
@@ -223,13 +232,14 @@ util::Status Replica::InstallSnapshot(const SnapshotState& state) {
   applied_seq_ = state.applied_seq;
   last_applied_day_ = state.retrainer.last_day;
   last_data_hour_ = std::max(last_data_hour_, MaxDataHour(state.retrainer));
+  PublishProgress();
   // Persist locally and reset the journal base: the local journal's
   // records all predate the installed state, and leaving them would make
   // the next warm start look like a snapshot-ahead-of-journal corruption.
   if (auto status = SnapshotNow(); !status.ok()) return status;
-  if (auto status = journal_.Compact(applied_seq_); !status.ok()) {
-    return status;
-  }
+  util::Status compacted = journal_.Compact(applied_seq_);
+  PublishProgress();
+  if (!compacted.ok()) return compacted;
   snapshots_installed_.Increment();
   return util::Status::Ok();
 }
@@ -320,10 +330,10 @@ obs::MetricGroup Replica::RegisterMetrics(obs::Registry& registry,
   group.push_back(registry.RegisterGauge(
       prefix + "_journal_base_seq",
       "Oldest sequence number still present in the journal file",
-      [this] { return static_cast<double>(journal_.base_seq()); }));
+      [this] { return published_journal_base_seq_.value(); }));
   group.push_back(registry.RegisterGauge(
       prefix + "_applied_seq", "Next journal sequence number to apply",
-      [this] { return static_cast<double>(applied_seq_); }));
+      [this] { return published_applied_seq_.value(); }));
   // Warm-start facts: fixed after Open, useful on a scrape right after a
   // restart to see what recovery did.
   group.push_back(registry.RegisterGauge(

@@ -136,6 +136,8 @@ class Replica {
   [[nodiscard]] const core::TipsyService* service() const {
     return retrainer_.current();
   }
+  // The retrainer's published health: a lock-free load, safe from any
+  // thread while the replica's writer works.
   [[nodiscard]] core::ModelHealth health() const {
     return retrainer_.health();
   }
@@ -170,7 +172,9 @@ class Replica {
   // Registers the replica's durability metrics (journal appends/bytes,
   // replay duplicate skips, snapshots, applied_seq, recovery facts) and
   // the embedded retrainer's metrics under `prefix` (e.g.
-  // "tipsy_replica_primary"). Gauge callbacks capture `this`: drop the
+  // "tipsy_replica_primary"). The applied_seq and journal base gauges
+  // read values the replica publishes after each mutation, so a scrape
+  // may run on any thread. Gauge callbacks capture `this`: drop the
   // handles before the replica is moved or destroyed.
   [[nodiscard]] obs::MetricGroup RegisterMetrics(obs::Registry& registry,
                                                  const std::string& prefix)
@@ -183,6 +187,8 @@ class Replica {
         config_(std::move(config)) {}
 
   void Apply(const JournalRecord& record);
+  // Publishes applied_seq and the journal base for the registry gauges.
+  void PublishProgress();
   // Day-boundary bookkeeping shared by Ingest/Heartbeat/IngestBatch:
   // snapshot (and optionally compact) when the applied record crossed a
   // day boundary.
@@ -203,6 +209,8 @@ class Replica {
   // Newest data-bearing hour (see last_data_hour()).
   util::HourIndex last_data_hour_ =
       std::numeric_limits<util::HourIndex>::min();
+  obs::Gauge published_applied_seq_;
+  obs::Gauge published_journal_base_seq_;
 };
 
 // CRC-32C fingerprint of a replica's full logical state: the served

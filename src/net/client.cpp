@@ -295,7 +295,6 @@ ShippingClient::ShippingClient(ha::Replica* replica, ClientConfig config,
       backoff_(config.backoff, config.backoff_seed),
       backoff_ms_(BackoffDelayBoundsMs()) {
   applied_seq_.store(replica_->applied_seq(), std::memory_order_release);
-  health_.store(replica_->health(), std::memory_order_release);
   metric_handles_.push_back(registry->RegisterCounter(
       metric_prefix + "_net_reconnects_total",
       "Shipping connections re-established after a failure", &reconnects_));
@@ -335,7 +334,6 @@ void ShippingClient::Stop() {
 
 void ShippingClient::RefreshSnapshots() {
   applied_seq_.store(replica_->applied_seq(), std::memory_order_release);
-  health_.store(replica_->health(), std::memory_order_release);
   const auto snapshot = replica_->retrainer().health_snapshot();
   last_hour_.store(snapshot.last_ingest_hour, std::memory_order_release);
 }

@@ -211,8 +211,10 @@ class ShippingClient {
   [[nodiscard]] std::uint64_t applied_seq() const {
     return applied_seq_.load(std::memory_order_acquire);
   }
+  // The replica's published model health (a lock-free load; the
+  // retrainer publishes it as the last step of every apply).
   [[nodiscard]] core::ModelHealth health() const {
-    return health_.load(std::memory_order_acquire);
+    return replica_->health();
   }
   [[nodiscard]] util::HourIndex last_hour() const {
     return last_hour_.load(std::memory_order_acquire);
@@ -260,7 +262,6 @@ class ShippingClient {
   std::thread thread_;
   Backoff backoff_;
   std::atomic<std::uint64_t> applied_seq_{0};
-  std::atomic<core::ModelHealth> health_{core::ModelHealth::kNone};
   std::atomic<util::HourIndex> last_hour_{
       std::numeric_limits<util::HourIndex>::min()};
   obs::Counter reconnects_;

@@ -174,10 +174,7 @@ util::Status Daemon::AdvanceClock(util::HourIndex hour) {
   return replica_->Heartbeat(hour);
 }
 
-core::ModelHealth Daemon::health() const {
-  std::lock_guard<std::mutex> lock(replica_mu_);
-  return replica_->health();
-}
+core::ModelHealth Daemon::health() const { return replica_->health(); }
 
 void Daemon::AcceptLoop(Listener* listener,
                         void (Daemon::*handler)(Socket)) {
@@ -318,9 +315,13 @@ void Daemon::HandlePredict(Socket socket) {
     predict_requests_.Increment();
 
     PredictResponse response;
-    // Lock-free: answered entirely from the published epoch. With no
-    // model yet (or after the feed died before the first retrain), every
-    // byte is honestly unpredicted and health says why.
+    // Lock-free: answered from the retrainer's published status and the
+    // epoch, loaded in that order (a retrain publishes its model before
+    // its status, so the stamp never claims a fresher model than the one
+    // that answered). With no model yet (or after the feed died before
+    // the first retrain), every byte is honestly unpredicted and health
+    // says why.
+    response.health = replica_->health();
     const auto service = epoch_.Acquire();
     if (service != nullptr) {
       core::ExclusionMask mask;
@@ -336,10 +337,6 @@ void Daemon::HandlePredict(Socket socket) {
         response.prediction.unpredicted_bytes += query.bytes;
       }
     }
-    {
-      std::lock_guard<std::mutex> lock(replica_mu_);
-      response.health = replica_->health();
-    }
     const std::string reply =
         EncodeMessage(MessageType::kPredictResponse,
                       EncodePredictResponse(response), config_.auth);
@@ -349,8 +346,12 @@ void Daemon::HandlePredict(Socket socket) {
 
 bool Daemon::AnswerWhatIf(const WhatIfRequest& request, Socket& socket) {
   WhatIfResponse response;
-  // Answered from the published epoch, like PredictShift: no model yet
-  // means an empty report list, and the stamped health says why.
+  // Answered lock-free from the published status and epoch, like
+  // PredictShift: no model yet means an empty report list, and the
+  // stamped health says why.
+  const core::ServingStatus status = replica_->retrainer().serving_status();
+  response.health = status.health;
+  response.drift_state = status.drift_state;
   const auto service = epoch_.Acquire();
   const wan::Wan* wan = replica_->retrainer().wan();
   if (service != nullptr &&
@@ -363,11 +364,6 @@ bool Daemon::AnswerWhatIf(const WhatIfRequest& request, Socket& socket) {
     const cms::WhatIfSimulator simulator(wan, service.get(), options);
     response.reports =
         simulator.Sweep(request.rows, request.link_loads, request.candidates);
-  }
-  {
-    std::lock_guard<std::mutex> lock(replica_mu_);
-    response.health = replica_->health();
-    response.drift_state = replica_->retrainer().drift_state();
   }
   const std::string reply =
       EncodeMessage(MessageType::kWhatIfResponse,

@@ -76,9 +76,10 @@ class Daemon {
  public:
   // The replica is borrowed and must outlive the daemon; the daemon is
   // its only writer while running (all mutations serialize on one
-  // mutex). `registry` (borrowed too) receives the net_* metrics and is
-  // what /metrics renders — register the replica/service metrics into
-  // the same registry to scrape the whole process.
+  // mutex), unless a ShippingClient feeds it instead (a standby).
+  // `registry` (borrowed too) receives the net_* metrics and is what
+  // /metrics renders — register the replica/service metrics into the
+  // same registry to scrape the whole process.
   Daemon(ha::Replica* replica, obs::Registry* registry,
          DaemonConfig config = {});
   ~Daemon();
@@ -111,7 +112,7 @@ class Daemon {
   [[nodiscard]] util::Status AdvanceClock(util::HourIndex hour);
 
   // Serving-model health right now (what the predict plane stamps on
-  // responses).
+  // responses): the retrainer's published status, read without a lock.
   [[nodiscard]] core::ModelHealth health() const;
   // Newest durably-applied data hour (the ingest idempotence gate); -1
   // before any data.
@@ -245,10 +246,12 @@ class Daemon {
   };
   std::vector<Connection> connections_;
 
-  // Serializes every replica mutation (ingest, heartbeat, health reads of
-  // retrainer internals). The predict hot path does not take it — it
-  // reads the epoch.
-  mutable std::mutex replica_mu_;
+  // Serializes every replica mutation (ingest, heartbeat) and the ingest
+  // and ship planes' reads of journal state. The predict plane (predict
+  // and what-if) never takes it: it reads the epoch and the status the
+  // retrainer publishes, so a read never waits behind a day-boundary
+  // retrain, snapshot or compaction.
+  std::mutex replica_mu_;
   core::ModelEpoch epoch_;
   std::atomic<util::HourIndex> last_applied_hour_{-1};
 

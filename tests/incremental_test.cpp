@@ -12,6 +12,7 @@
 
 #include <cmath>
 #include <map>
+#include <set>
 #include <sstream>
 #include <vector>
 
@@ -676,6 +677,99 @@ TEST(DriftDetection, RegimeShiftTriggersEarlyRetrainAndLockstepHolds) {
   // The health surface carries the dimension the CMS gate consumes.
   const auto health = incremental.health_snapshot();
   EXPECT_GE(health.drift_events, 1u);
+}
+
+// ------------------------------------------------- published status
+
+double GaugeValue(const obs::Registry& registry, const std::string& name) {
+  for (const auto& metric : registry.Snapshot()) {
+    if (metric.name == name) return metric.value;
+  }
+  ADD_FAILURE() << "no metric " << name;
+  return -999.0;
+}
+
+// health() and drift_state() are loads of the status the retrainer
+// publishes as the last step of every mutation, and the registry's
+// derived gauges read values published alongside it. After every public
+// mutator - a regime shift that fires drift, a dropped hour, failed
+// retrains while the model ages to EXPIRED, forced retrains, a restore
+// and a move - both must equal the writer-side fold of the internals.
+TEST(PublishedStatus, MatchesWriterSideFoldAfterEveryMutation) {
+  IncrementalFixture fixture;
+  auto retrainer = fixture.MakeRetrainer(/*window_days=*/6, DriftPolicy(true));
+  obs::Registry registry;
+  const obs::MetricGroup handles = retrainer.RegisterMetrics(registry, "r");
+  std::set<core::ModelHealth> healths;
+  std::set<core::DriftState> drift_states;
+  const auto check = [&](const std::string& where) {
+    const core::ServiceHealth fold = retrainer.health_snapshot();
+    EXPECT_EQ(retrainer.serving_status(),
+              (core::ServingStatus{fold.health, fold.drift_state}))
+        << where;
+    EXPECT_EQ(retrainer.health(), fold.health) << where;
+    EXPECT_EQ(retrainer.drift_state(), fold.drift_state) << where;
+    EXPECT_EQ(GaugeValue(registry, "r_model_health"),
+              static_cast<double>(fold.health)) << where;
+    EXPECT_EQ(GaugeValue(registry, "r_drift_state"),
+              static_cast<double>(fold.drift_state)) << where;
+    EXPECT_EQ(GaugeValue(registry, "r_model_age_days"),
+              static_cast<double>(fold.model_age_days)) << where;
+    EXPECT_EQ(GaugeValue(registry, "r_buffered_days"),
+              static_cast<double>(fold.buffered_days)) << where;
+    EXPECT_EQ(GaugeValue(registry, "r_consecutive_failures"),
+              static_cast<double>(fold.consecutive_failures)) << where;
+    EXPECT_EQ(GaugeValue(registry, "r_drift_recent_accuracy"),
+              fold.drift_recent_accuracy) << where;
+    EXPECT_EQ(GaugeValue(registry, "r_drift_baseline_accuracy"),
+              fold.drift_baseline_accuracy) << where;
+    EXPECT_EQ(GaugeValue(registry, "r_drift_distribution_distance"),
+              fold.drift_distribution_distance) << where;
+    healths.insert(fold.health);
+    drift_states.insert(fold.drift_state);
+  };
+  check("constructed");
+  util::HourIndex hour = 0;
+  for (; hour < 72; ++hour) {
+    retrainer.Ingest(hour, StableRows(hour));
+    check("stable hour " + std::to_string(hour));
+  }
+  for (; hour < 96; ++hour) {
+    retrainer.Ingest(hour, ShiftedRows(fixture, hour));
+    check("shifted hour " + std::to_string(hour));
+  }
+  retrainer.Ingest(10, StableRows(10));  // behind the clock: dropped
+  check("dropped hour");
+
+  // Every retrain fails while the collector is dark: the last-good model
+  // ages through STALE to EXPIRED.
+  retrainer.SetRetrainFault([](util::HourIndex) { return true; });
+  for (; hour < 96 + 10 * util::kHoursPerDay; hour += 6) {
+    retrainer.AdvanceTo(hour);
+    check("heartbeat " + std::to_string(hour));
+  }
+  EXPECT_FALSE(retrainer.TryRetrain().ok());
+  check("failed TryRetrain");
+  retrainer.SetRetrainFault(nullptr);
+  retrainer.Ingest(hour, StableRows(hour));
+  check("feed back");
+  (void)retrainer.Retrain();
+  check("Retrain");
+
+  EXPECT_TRUE(healths.count(core::ModelHealth::kNone));
+  EXPECT_TRUE(healths.count(core::ModelHealth::kFresh));
+  EXPECT_TRUE(healths.count(core::ModelHealth::kStale));
+  EXPECT_TRUE(healths.count(core::ModelHealth::kExpired));
+  EXPECT_TRUE(drift_states.count(core::DriftState::kDrifting));
+
+  // A restore publishes the restored status; a move carries it along.
+  auto restored = fixture.MakeRetrainer(/*window_days=*/6, DriftPolicy(true));
+  EXPECT_EQ(restored.health(), core::ModelHealth::kNone);
+  ASSERT_TRUE(restored.RestoreState(retrainer.ExportState()).ok());
+  EXPECT_EQ(restored.serving_status(), retrainer.serving_status());
+  const core::DailyRetrainer moved = std::move(restored);
+  EXPECT_EQ(moved.serving_status(), retrainer.serving_status());
+  EXPECT_EQ(moved.health_snapshot(), retrainer.health_snapshot());
 }
 
 // ------------------------------------- decay + drift snapshot round trip

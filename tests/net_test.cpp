@@ -13,11 +13,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -1778,6 +1780,362 @@ TEST(Daemon, MetricsScrapesRaceNewIngestSources) {
   const std::string text = registry.RenderPrometheusText();
   EXPECT_NE(text.find("tipsyd_net_ingest_sources " + std::to_string(kSources)),
             std::string::npos);
+  daemon.Stop();
+}
+
+// ------------------------------------------- reads beside the writer
+
+net::PredictRequest ReadRequest(const NetFixture& fixture) {
+  net::PredictRequest request;
+  for (const auto& row : fixture.HourRows(30)) {
+    request.flows.push_back(
+        {core::FlowFeatures{row.src_asn, row.src_prefix24, row.src_metro,
+                            row.dest_region, row.dest_service},
+         static_cast<double>(row.bytes)});
+  }
+  request.excluded = {util::LinkId{0}};
+  return request;
+}
+
+net::WhatIfRequest ReadWhatIfRequest(const NetFixture& fixture) {
+  net::WhatIfRequest request;
+  request.rows = fixture.HourRows(30);
+  request.link_loads.assign(fixture.wan.link_count(), 0.0);
+  for (const auto& row : request.rows) {
+    request.link_loads[row.link.value()] += static_cast<double>(row.bytes);
+  }
+  for (std::uint32_t link = 0;
+       link < static_cast<std::uint32_t>(fixture.wan.link_count()); ++link) {
+    request.candidates.push_back({util::LinkId{link}, {}});
+  }
+  return request;
+}
+
+// Bit-exact equality of two shift predictions.
+bool SamePrediction(const core::TipsyService::ShiftPrediction& a,
+                    const core::TipsyService::ShiftPrediction& b) {
+  if (a.unpredicted_bytes != b.unpredicted_bytes ||
+      a.shifted.size() != b.shifted.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.shifted.size(); ++i) {
+    if (a.shifted[i].first != b.shifted[i].first ||
+        a.shifted[i].second != b.shifted[i].second) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Bit-exact equality of two what-if report lists.
+bool SameReports(const std::vector<cms::WhatIfReport>& a,
+                 const std::vector<cms::WhatIfReport>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const auto& x = a[i];
+    const auto& y = b[i];
+    if (x.candidate_index != y.candidate_index || x.link != y.link ||
+        x.matched_bytes != y.matched_bytes ||
+        x.moved_bytes != y.moved_bytes ||
+        x.unpredicted_bytes != y.unpredicted_bytes || x.safe != y.safe ||
+        x.spills.size() != y.spills.size()) {
+      return false;
+    }
+    for (std::size_t s = 0; s < x.spills.size(); ++s) {
+      if (x.spills[s].link != y.spills[s].link ||
+          x.spills[s].bytes != y.spills[s].bytes ||
+          x.spills[s].projected_utilization !=
+              y.spills[s].projected_utilization ||
+          x.spills[s].over_headroom != y.spills[s].over_headroom) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+core::TipsyService::ShiftPrediction LocalPredict(
+    const NetFixture& fixture, const core::TipsyService* service,
+    const net::PredictRequest& request) {
+  core::ExclusionMask mask(fixture.wan.link_count(), false);
+  for (const auto link : request.excluded) mask[link.value()] = true;
+  return service->PredictShift(request.flows, mask);
+}
+
+std::vector<cms::WhatIfReport> LocalSweep(const NetFixture& fixture,
+                                          const core::TipsyService* service,
+                                          const net::WhatIfRequest& request) {
+  const cms::WhatIfSimulator simulator(&fixture.wan, service,
+                                       cms::WhatIfOptions{});
+  return simulator.Sweep(request.rows, request.link_loads,
+                         request.candidates);
+}
+
+// The day-boundary ingest holds the replica's writer for the whole
+// retrain (and the snapshot and compaction after it). Reads must not
+// wait for it: with the boundary retrain parked inside the fault hook, a
+// predict and a what-if are answered within the client deadline, stamped
+// FRESH, from the previous day's model.
+TEST(Daemon, ReadsAnsweredWhileDayBoundaryRetrainBlocks) {
+  NetFixture fixture;
+  TempDir dir("daemon_blocked_retrain");
+  auto replica = fixture.OpenReplica(fixture.MakeReplicaConfig(dir, "d"));
+  ASSERT_TRUE(replica.ok()) << replica.status().ToString();
+
+  // Installed before any traffic, so only the ingest thread ever calls
+  // it. Once armed, the next retrain attempt (the next boundary) flags
+  // itself and parks on the latch, at most 10 s, then lets the retrain
+  // proceed.
+  std::atomic<bool> armed{false};
+  std::atomic<bool> parked{false};
+  std::mutex latch_mu;
+  std::condition_variable latch_cv;
+  bool released = false;
+  replica->mutable_retrainer().SetRetrainFault([&](util::HourIndex) {
+    if (!armed.exchange(false)) return false;
+    parked.store(true);
+    std::unique_lock<std::mutex> lock(latch_mu);
+    latch_cv.wait_for(lock, std::chrono::seconds(10), [&] { return released; });
+    return false;
+  });
+
+  obs::Registry registry;
+  net::Daemon daemon(&*replica, &registry, fixture.FastDaemonConfig());
+  ASSERT_TRUE(daemon.Start().ok());
+
+  core::DailyRetrainer control(&fixture.wan, &fixture.topology.metros,
+                               /*window_days=*/3);
+  auto collector_config = fixture.FastClientConfig(daemon.ingest_port());
+  collector_config.io_deadline_ms = 15000;  // outlasts the parked retrain
+  net::CollectorClient collector(collector_config, &registry, "collector");
+  const util::HourIndex boundary = 2 * util::kHoursPerDay;
+  for (util::HourIndex h = 0; h < boundary; ++h) {
+    const auto rows = fixture.HourRows(h);
+    ASSERT_TRUE(collector.SendHour(h, rows).ok()) << "hour " << h;
+    control.Ingest(h, rows);
+  }
+  ASSERT_EQ(daemon.health(), core::ModelHealth::kFresh);
+  ASSERT_EQ(ServiceBytes(replica->service()), ServiceBytes(control.current()));
+
+  armed.store(true);
+  util::Status boundary_sent;
+  std::atomic<bool> boundary_acked{false};
+  std::thread sender([&] {
+    boundary_sent = collector.SendHour(boundary, fixture.HourRows(boundary));
+    boundary_acked.store(true);
+  });
+  const bool reached = WaitUntil([&] { return parked.load(); }, 5000);
+
+  // One attempt each: a read that queued behind the writer would miss
+  // the client deadline and fail here instead of being retried.
+  const net::PredictRequest request = ReadRequest(fixture);
+  const net::WhatIfRequest whatif_request = ReadWhatIfRequest(fixture);
+  util::StatusOr<net::PredictResponse> predicted =
+      util::Status::Unavailable("not sent");
+  util::StatusOr<net::WhatIfResponse> swept =
+      util::Status::Unavailable("not sent");
+  if (reached) {
+    net::PredictClient reader(fixture.FastClientConfig(daemon.predict_port()),
+                              /*max_attempts=*/1);
+    predicted = reader.Predict(request);
+    swept = reader.WhatIf(whatif_request);
+  }
+  const bool acked_before_reads_returned = boundary_acked.load();
+  {
+    std::lock_guard<std::mutex> lock(latch_mu);
+    released = true;
+  }
+  latch_cv.notify_all();
+  sender.join();
+
+  ASSERT_TRUE(reached) << "the boundary retrain never reached the hook";
+  EXPECT_FALSE(acked_before_reads_returned);
+  ASSERT_TRUE(predicted.ok()) << predicted.status().ToString();
+  EXPECT_EQ(predicted->health, core::ModelHealth::kFresh);
+  EXPECT_TRUE(SamePrediction(predicted->prediction,
+                             LocalPredict(fixture, control.current(), request)));
+  ASSERT_TRUE(swept.ok()) << swept.status().ToString();
+  EXPECT_EQ(swept->health, core::ModelHealth::kFresh);
+  EXPECT_EQ(swept->drift_state, core::DriftState::kStable);
+  EXPECT_TRUE(SameReports(
+      swept->reports, LocalSweep(fixture, control.current(), whatif_request)));
+
+  // Released, the boundary completes and its ack covers the new model.
+  ASSERT_TRUE(boundary_sent.ok()) << boundary_sent.ToString();
+  control.Ingest(boundary, fixture.HourRows(boundary));
+  EXPECT_EQ(ServiceBytes(replica->service()), ServiceBytes(control.current()));
+  net::PredictClient after(fixture.FastClientConfig(daemon.predict_port()));
+  auto fresh = after.Predict(request);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  EXPECT_EQ(fresh->health, core::ModelHealth::kFresh);
+  EXPECT_TRUE(SamePrediction(fresh->prediction,
+                             LocalPredict(fixture, control.current(), request)));
+  daemon.Stop();
+}
+
+// A standby's daemon serves reads while its ShippingClient, not the
+// daemon, applies records into the replica. The health it stamps is the
+// status the standby's retrainer publishes: it moves NONE -> FRESH as the
+// shipped days land, and once caught up the standby answers bit for bit
+// like the primary.
+TEST(Daemon, StandbyServesReadsWhileShipping) {
+  NetFixture fixture;
+  TempDir dir("daemon_standby_reads");
+  auto primary = fixture.OpenReplica(fixture.MakeReplicaConfig(dir, "p"));
+  ASSERT_TRUE(primary.ok()) << primary.status().ToString();
+  auto standby = fixture.OpenReplica(fixture.MakeReplicaConfig(dir, "s"));
+  ASSERT_TRUE(standby.ok()) << standby.status().ToString();
+
+  obs::Registry registry;
+  net::Daemon daemon(&*primary, &registry, fixture.FastDaemonConfig());
+  ASSERT_TRUE(daemon.Start().ok());
+  auto standby_config = fixture.FastDaemonConfig();
+  standby_config.metric_prefix = "standby";
+  net::Daemon standby_daemon(&*standby, &registry, standby_config);
+  ASSERT_TRUE(standby_daemon.Start().ok());
+  net::ShippingClient shipper(&*standby,
+                              fixture.FastClientConfig(daemon.ship_port()),
+                              &registry, "shipper");
+  shipper.Start();
+
+  const net::PredictRequest request = ReadRequest(fixture);
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> polls{0};
+  std::vector<core::ModelHealth> seen;  // reader thread only until join
+  std::uint64_t failed_reads = 0;
+  std::thread reader([&] {
+    net::PredictClient client(
+        fixture.FastClientConfig(standby_daemon.predict_port()));
+    while (!done.load()) {
+      auto response = client.Predict(request);
+      if (!response.ok()) {
+        ++failed_reads;
+        continue;
+      }
+      if (seen.empty() || seen.back() != response->health) {
+        seen.push_back(response->health);
+      }
+      (void)standby_daemon.health();
+      (void)shipper.health();
+      polls.fetch_add(1);
+    }
+  });
+  ASSERT_TRUE(WaitUntil([&] { return polls.load() > 0; }, 5000));
+
+  net::CollectorClient collector(
+      fixture.FastClientConfig(daemon.ingest_port()), &registry, "collector");
+  const util::HourIndex hours = 2 * util::kHoursPerDay + 5;  // 2 boundaries
+  for (util::HourIndex h = 0; h < hours; ++h) {
+    ASSERT_TRUE(collector.SendHour(h, fixture.HourRows(h)).ok()) << h;
+  }
+  const bool caught_up = WaitUntil(
+      [&] { return shipper.applied_seq() == static_cast<std::uint64_t>(hours); },
+      10000);
+  const std::uint64_t polls_at_catch_up = polls.load();
+  WaitUntil([&] { return polls.load() > polls_at_catch_up + 3; }, 5000);
+  done.store(true);
+  reader.join();
+
+  ASSERT_TRUE(caught_up) << "standby at seq " << shipper.applied_seq();
+  EXPECT_EQ(failed_reads, 0u);
+  const std::vector<core::ModelHealth> expected = {core::ModelHealth::kNone,
+                                                   core::ModelHealth::kFresh};
+  EXPECT_EQ(seen, expected);
+  EXPECT_EQ(standby_daemon.health(), core::ModelHealth::kFresh);
+  EXPECT_EQ(shipper.health(), core::ModelHealth::kFresh);
+
+  net::PredictClient from_primary(
+      fixture.FastClientConfig(daemon.predict_port()));
+  net::PredictClient from_standby(
+      fixture.FastClientConfig(standby_daemon.predict_port()));
+  auto primary_answer = from_primary.Predict(request);
+  auto standby_answer = from_standby.Predict(request);
+  ASSERT_TRUE(primary_answer.ok()) << primary_answer.status().ToString();
+  ASSERT_TRUE(standby_answer.ok()) << standby_answer.status().ToString();
+  EXPECT_EQ(standby_answer->health, primary_answer->health);
+  EXPECT_TRUE(
+      SamePrediction(standby_answer->prediction, primary_answer->prediction));
+  EXPECT_EQ(ServiceBytes(standby->service()), ServiceBytes(primary->service()));
+
+  shipper.Stop();
+  standby_daemon.Stop();
+  daemon.Stop();
+}
+
+// /metrics scrapes the replica and retrainer gauges from the HTTP thread
+// while the ingest thread crosses day boundaries (retrain, snapshot,
+// compaction) with drift detection scoring every hour. Every gauge reads
+// a value its writer published, so the scrapes race nothing, and once
+// the feed is done they agree with the writer-side view.
+TEST(Daemon, MetricsScrapesRaceDayBoundaryIngest) {
+  NetFixture fixture;
+  TempDir dir("daemon_scrape_boundaries");
+  auto replica_config = fixture.MakeReplicaConfig(dir, "d");
+  replica_config.compact_after_snapshot = true;
+  core::RetrainPolicy policy;
+  policy.drift_detection = true;
+  policy.drift_min_hour_flows = 1;
+  policy.drift_warmup_hours = 4;
+  auto replica = ha::Replica::Open(&fixture.wan, &fixture.topology.metros,
+                                   /*window_days=*/3, {}, policy,
+                                   replica_config);
+  ASSERT_TRUE(replica.ok()) << replica.status().ToString();
+
+  obs::Registry registry;
+  const obs::MetricGroup replica_metrics =
+      replica->RegisterMetrics(registry, "tipsyd_replica");
+  net::Daemon daemon(&*replica, &registry, fixture.FastDaemonConfig());
+  ASSERT_TRUE(daemon.Start().ok());
+
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> scrapes{0};
+  std::thread scraper([&] {
+    while (!done.load()) {
+      (void)ScrapeMetrics(daemon.metrics_port());
+      (void)registry.RenderPrometheusText();
+      scrapes.fetch_add(1);
+    }
+  });
+  net::CollectorClient collector(
+      fixture.FastClientConfig(daemon.ingest_port()), &registry, "collector");
+  const util::HourIndex hours = 2 * util::kHoursPerDay + 5;  // 2 boundaries
+  for (util::HourIndex h = 0; h < hours; ++h) {
+    ASSERT_TRUE(collector.SendHour(h, fixture.HourRows(h)).ok()) << h;
+  }
+  done.store(true);
+  scraper.join();
+  EXPECT_GT(scrapes.load(), 0u);
+
+  const core::ServiceHealth health = replica->retrainer().health_snapshot();
+  const std::string text = ScrapeMetrics(daemon.metrics_port());
+  const auto has = [&text](const std::string& name, double value) {
+    std::ostringstream line;
+    line << "\n" << name << " " << value << "\n";
+    return text.find(line.str()) != std::string::npos;
+  };
+  EXPECT_TRUE(has("tipsyd_replica_applied_seq",
+                  static_cast<double>(replica->applied_seq())))
+      << text;
+  EXPECT_GT(replica->journal().base_seq(), 0u);
+  EXPECT_TRUE(has("tipsyd_replica_journal_base_seq",
+                  static_cast<double>(replica->journal().base_seq())));
+  EXPECT_TRUE(has("tipsyd_replica_model_health",
+                  static_cast<double>(health.health)));
+  EXPECT_TRUE(has("tipsyd_replica_model_age_days",
+                  static_cast<double>(health.model_age_days)));
+  EXPECT_TRUE(has("tipsyd_replica_buffered_days",
+                  static_cast<double>(health.buffered_days)));
+  EXPECT_TRUE(has("tipsyd_replica_consecutive_failures",
+                  static_cast<double>(health.consecutive_failures)));
+  EXPECT_TRUE(has("tipsyd_replica_drift_state",
+                  static_cast<double>(health.drift_state)));
+  EXPECT_GE(health.drift_recent_accuracy, 0.0);  // the detector scored
+  EXPECT_TRUE(has("tipsyd_replica_drift_recent_accuracy",
+                  health.drift_recent_accuracy));
+  EXPECT_TRUE(has("tipsyd_replica_drift_baseline_accuracy",
+                  health.drift_baseline_accuracy));
+  EXPECT_TRUE(has("tipsyd_replica_drift_distribution_distance",
+                  health.drift_distribution_distance));
   daemon.Stop();
 }
 

@@ -1,27 +1,29 @@
 #!/usr/bin/env bash
 # Byte-flip corruption fuzz + HA concurrency checks under sanitizers.
+# One sanitizer per invocation; CI runs each of the three once.
 #
-# Pass 1 (address by default): configures a dedicated build tree with
-# -DTIPSY_SANITIZE=<sanitizer> and runs the persistence format tests, the
-# robustness suite (exhaustive single-byte-flip sweeps over the model
-# bundle and row file formats), the HA suite (the same sweeps over the
-# hour journal and snapshot formats, plus the crash/restore matrix) and
-# the incremental-retraining suite (day-shard algebra + snapshot v1/v2
-# warm starts). Every mutation must either load bit-identically or fail
-# with a typed Status - never crash, leak, or over-allocate; the
+# address / undefined (address by default): configures a dedicated build
+# tree with -DTIPSY_SANITIZE=<sanitizer> and runs the persistence format
+# tests, the robustness suite (exhaustive single-byte-flip sweeps over
+# the model bundle and row file formats), the HA suite (the same sweeps
+# over the hour journal and snapshot formats, plus the crash/restore
+# matrix), the incremental-retraining suite (day-shard algebra +
+# snapshot v1/v2 warm starts), the observability suite, the serving core
+# and the net suite. Every mutation must either load bit-identically or
+# fail with a typed Status - never crash, leak, or over-allocate; the
 # sanitizer turns any violation into a hard failure.
 #
-# Pass 2 (thread): rebuilds with -DTIPSY_SANITIZE=thread and runs the HA
+# thread: builds with -DTIPSY_SANITIZE=thread and runs the HA
 # supervisor's concurrency tests (heartbeats from replica threads racing
 # the query path's routing reads), the parallel substrate tests, the
 # observability suite (concurrent metric writers racing registry
 # scrapes), the serving-core epoch-swap suite (PredictShift readers
 # racing ModelEpoch publishes - the lock-free model handoff), and the
-# net suite (daemon listener threads, reconnecting clients, the socket
-# fault proxy's pump threads, and the wire-format byte-flip fuzz, all
-# over real sockets); TSan turns any data race into a hard failure.
-# Skipped when the requested sanitizer *is* thread (pass 1 already
-# covers it).
+# net suite (daemon listener threads, reads racing day-boundary ingest
+# and a shipping standby's replay, /metrics scrapes racing retrains,
+# reconnecting clients, the socket fault proxy's pump threads, and the
+# wire-format byte-flip fuzz, all over real sockets); TSan turns any
+# data race into a hard failure.
 #
 # Every pass runs even after an earlier one fails; the script prints a
 # per-pass PASS/FAIL summary and exits non-zero if any pass failed.
@@ -62,42 +64,39 @@ run_pass() {
 # A build failure is fatal: there is nothing meaningful to run or report.
 cmake -B "${BUILD}" -S "${ROOT}" -DTIPSY_SANITIZE="${SANITIZER}" \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo || exit 1
-cmake --build "${BUILD}" -j --target robustness_test persistence_test \
-      ha_test incremental_test obs_test serving_core_test net_test || exit 1
 
-run_pass "robustness_test (byte-flip fuzz) under ${SANITIZER} sanitizer" \
-    "${BUILD}/tests/robustness_test"
-run_pass "persistence_test under ${SANITIZER} sanitizer" \
-    "${BUILD}/tests/persistence_test"
-run_pass "ha_test (journal/snapshot fuzz + crash matrix) under ${SANITIZER} sanitizer" \
-    "${BUILD}/tests/ha_test"
-run_pass "incremental_test (day-shard algebra + snapshot warm starts) under ${SANITIZER} sanitizer" \
-    "${BUILD}/tests/incremental_test"
-run_pass "obs_test (metrics registry + trace spans) under ${SANITIZER} sanitizer" \
-    "${BUILD}/tests/obs_test"
-run_pass "serving_core_test (flat-table bit-identity + epoch swap) under ${SANITIZER} sanitizer" \
-    "${BUILD}/tests/serving_core_test"
-run_pass "net_test (wire fuzz + daemon/client/fault-proxy) under ${SANITIZER} sanitizer" \
-    "${BUILD}/tests/net_test"
-
-if [[ "${SANITIZER}" != "thread" ]]; then
-  TSAN_BUILD="${ROOT}/build-thread"
-  cmake -B "${TSAN_BUILD}" -S "${ROOT}" -DTIPSY_SANITIZE=thread \
-        -DCMAKE_BUILD_TYPE=RelWithDebInfo || exit 1
-  cmake --build "${TSAN_BUILD}" -j --target ha_test parallel_test \
+if [[ "${SANITIZER}" == "thread" ]]; then
+  cmake --build "${BUILD}" -j --target ha_test parallel_test \
         obs_test serving_core_test net_test || exit 1
   run_pass "ha_test supervisor/heartbeat races under thread sanitizer" \
-      "${TSAN_BUILD}/tests/ha_test" \
+      "${BUILD}/tests/ha_test" \
       --gtest_filter='Supervisor.*:HeartbeatFaults.*'
   run_pass "parallel_test under thread sanitizer" \
-      "${TSAN_BUILD}/tests/parallel_test"
+      "${BUILD}/tests/parallel_test"
   run_pass "obs_test concurrent scrape races under thread sanitizer" \
-      "${TSAN_BUILD}/tests/obs_test"
+      "${BUILD}/tests/obs_test"
   run_pass "serving_core_test epoch-swap races under thread sanitizer" \
-      "${TSAN_BUILD}/tests/serving_core_test" \
+      "${BUILD}/tests/serving_core_test" \
       --gtest_filter='ServingCoreTsan.*'
   run_pass "net_test daemon/client/proxy thread races under thread sanitizer" \
-      "${TSAN_BUILD}/tests/net_test"
+      "${BUILD}/tests/net_test"
+else
+  cmake --build "${BUILD}" -j --target robustness_test persistence_test \
+        ha_test incremental_test obs_test serving_core_test net_test || exit 1
+  run_pass "robustness_test (byte-flip fuzz) under ${SANITIZER} sanitizer" \
+      "${BUILD}/tests/robustness_test"
+  run_pass "persistence_test under ${SANITIZER} sanitizer" \
+      "${BUILD}/tests/persistence_test"
+  run_pass "ha_test (journal/snapshot fuzz + crash matrix) under ${SANITIZER} sanitizer" \
+      "${BUILD}/tests/ha_test"
+  run_pass "incremental_test (day-shard algebra + snapshot warm starts) under ${SANITIZER} sanitizer" \
+      "${BUILD}/tests/incremental_test"
+  run_pass "obs_test (metrics registry + trace spans) under ${SANITIZER} sanitizer" \
+      "${BUILD}/tests/obs_test"
+  run_pass "serving_core_test (flat-table bit-identity + epoch swap) under ${SANITIZER} sanitizer" \
+      "${BUILD}/tests/serving_core_test"
+  run_pass "net_test (wire fuzz + daemon/client/fault-proxy) under ${SANITIZER} sanitizer" \
+      "${BUILD}/tests/net_test"
 fi
 
 echo
