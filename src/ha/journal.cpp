@@ -1,7 +1,11 @@
 #include "ha/journal.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <sstream>
 
@@ -113,29 +117,43 @@ std::string EncodeJournalRecord(const JournalRecord& record) {
   return frame.str();
 }
 
-util::StatusOr<JournalRecord> DecodeJournalFrame(
-    const pipeline::V2Frame& frame) {
+namespace {
+
+util::StatusOr<JournalRecord> DecodeJournalPayload(util::HourIndex hour,
+                                                   std::uint64_t count,
+                                                   std::string_view payload) {
   JournalRecord record;
-  record.hour = frame.hour;
+  record.hour = hour;
   std::size_t pos = 0;
-  const auto kind = pipeline::GetVarint(frame.payload, pos);
-  const auto seq = pipeline::GetVarint(frame.payload, pos);
+  const auto kind = pipeline::GetVarint(payload, pos);
+  const auto seq = pipeline::GetVarint(payload, pos);
   if (!kind || !seq || *kind > 1) {
     return util::Status::Corrupt("journal record header is malformed");
   }
   record.kind = static_cast<JournalRecordKind>(*kind);
   record.seq = *seq;
-  if (record.kind == JournalRecordKind::kHeartbeat && frame.count != 0) {
+  if (record.kind == JournalRecordKind::kHeartbeat && count != 0) {
     return util::Status::Corrupt("heartbeat record carries rows");
   }
-  if (!pipeline::DecodeRowsVerbatim(frame.payload, pos, frame.count,
-                                    record.rows) ||
-      pos != frame.payload.size()) {
+  if (!pipeline::DecodeRowsVerbatim(payload, pos, count, record.rows) ||
+      pos != payload.size()) {
     return util::Status::Corrupt("journal record " +
                                  std::to_string(record.seq) +
                                  " payload is malformed");
   }
   return record;
+}
+
+}  // namespace
+
+util::StatusOr<JournalRecord> DecodeJournalFrame(
+    const pipeline::V2Frame& frame) {
+  return DecodeJournalPayload(frame.hour, frame.count, frame.payload);
+}
+
+util::StatusOr<JournalRecord> DecodeJournalFrame(
+    const pipeline::V2FrameHeader& header, std::string_view payload) {
+  return DecodeJournalPayload(header.hour, header.count, payload);
 }
 
 util::StatusOr<JournalRecovery> RecoverJournalBytes(std::string_view bytes) {
@@ -192,6 +210,168 @@ util::StatusOr<JournalRecovery> RecoverJournalBytes(std::string_view bytes) {
   }
   recovery.torn_bytes = bytes.size() - recovery.verified_bytes;
   return recovery;
+}
+
+std::uint64_t JournalProgress::WaitForAdvance(std::uint64_t seen,
+                                              int timeout_ms) const {
+  std::unique_lock<std::mutex> lock(mu_);
+  advanced_.wait_for(lock, std::chrono::milliseconds(timeout_ms), [&] {
+    return durable_next_seq_.load(std::memory_order_relaxed) != seen;
+  });
+  return durable_next_seq();
+}
+
+void JournalProgress::Publish(std::uint64_t durable_next_seq,
+                              std::uint64_t base_seq) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    durable_next_seq_.store(durable_next_seq, std::memory_order_release);
+    base_seq_.store(base_seq, std::memory_order_release);
+  }
+  advanced_.notify_all();
+}
+
+namespace {
+
+// pread until `size` bytes landed or the file ended; returns the count.
+util::StatusOr<std::size_t> ReadAt(int fd, char* data, std::size_t size,
+                                   std::uint64_t offset,
+                                   const std::string& path) {
+  std::size_t done = 0;
+  while (done < size) {
+    const ssize_t n = ::pread(fd, data + done, size - done,
+                              static_cast<off_t>(offset + done));
+    if (n > 0) {
+      done += static_cast<std::size_t>(n);
+    } else if (n == 0) {
+      break;
+    } else if (errno != EINTR) {
+      return util::Status::IoError(ErrnoMessage("read", path));
+    }
+  }
+  return done;
+}
+
+}  // namespace
+
+JournalTailReader::~JournalTailReader() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+util::Status JournalTailReader::Follow() {
+  struct stat named {};
+  if (::stat(path_.c_str(), &named) != 0) {
+    return util::Status::IoError(ErrnoMessage("stat", path_));
+  }
+  if (fd_ >= 0 && static_cast<std::uint64_t>(named.st_dev) == dev_ &&
+      static_cast<std::uint64_t>(named.st_ino) == ino_) {
+    return util::Status::Ok();
+  }
+  const int fd = ::open(path_.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return util::Status::IoError(ErrnoMessage("open", path_));
+  // Identity comes from the descriptor, not the earlier stat: another
+  // rename may have landed in between.
+  struct stat opened {};
+  if (::fstat(fd, &opened) != 0) {
+    const util::Status status =
+        util::Status::IoError(ErrnoMessage("fstat", path_));
+    ::close(fd);
+    return status;
+  }
+  char magic[sizeof(kJournalMagic)];
+  auto got = ReadAt(fd, magic, sizeof(magic), 0, path_);
+  if (!got.ok() || *got != sizeof(magic) ||
+      std::memcmp(magic, kJournalMagic, sizeof(magic)) != 0) {
+    ::close(fd);
+    if (!got.ok()) return got.status();
+    // Journal files are only ever created whole (magic included) by an
+    // atomic write, so a short or foreign opening is damage.
+    return util::Status::Corrupt("'" + path_ +
+                                 "' does not open with the journal magic");
+  }
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = fd;
+  dev_ = static_cast<std::uint64_t>(opened.st_dev);
+  ino_ = static_cast<std::uint64_t>(opened.st_ino);
+  offset_ = sizeof(kJournalMagic);
+  offset_seq_known_ = false;
+  return util::Status::Ok();
+}
+
+util::StatusOr<std::uint64_t> JournalTailReader::ReadFrom(
+    std::uint64_t cursor, std::string& out) {
+  if (auto status = Follow(); !status.ok()) return status;
+  if (offset_seq_known_ && offset_seq_ > cursor) {
+    // Asked for a seq the walk already passed: walk again from the start.
+    offset_ = sizeof(kJournalMagic);
+    offset_seq_known_ = false;
+  }
+  struct stat now {};
+  if (::fstat(fd_, &now) != 0) {
+    return util::Status::IoError(ErrnoMessage("fstat", path_));
+  }
+  const auto size = static_cast<std::uint64_t>(now.st_size);
+  std::uint64_t frames = 0;
+  while (offset_ < size) {
+    // The header plus the payload's leading varints (kind, seq).
+    header_.resize(static_cast<std::size_t>(std::min<std::uint64_t>(
+        pipeline::kMaxV2FrameHeaderBytes + 20, size - offset_)));
+    auto got = ReadAt(fd_, header_.data(), header_.size(), offset_, path_);
+    if (!got.ok()) return got.status();
+    header_.resize(*got);
+    auto header = pipeline::ParseV2FrameHeader(header_);
+    if (!header.ok()) {
+      if (header.status().code() == util::StatusCode::kTruncated) break;
+      return header.status();
+    }
+    const std::uint64_t frame_bytes =
+        header->header_bytes + header->payload_size;
+    if (frame_bytes > size - offset_) break;  // an append still in flight
+    std::size_t pos = header->header_bytes;
+    const auto kind = pipeline::GetVarint(header_, pos);
+    const auto seq = kind ? pipeline::GetVarint(header_, pos) : std::nullopt;
+    if (!seq || pos > frame_bytes) {
+      return util::Status::Corrupt("journal frame at byte " +
+                                   std::to_string(offset_) +
+                                   " has a malformed record header");
+    }
+    if (offset_seq_known_ && *seq != offset_seq_) {
+      return util::Status::Corrupt(
+          "journal sequence gap: expected seq " +
+          std::to_string(offset_seq_) + ", got " + std::to_string(*seq));
+    }
+    if (*seq > cursor) {
+      // The file's first record is past the cursor: compaction dropped it.
+      return util::Status::NoData("journal no longer holds seq " +
+                                  std::to_string(cursor) + " (starts at " +
+                                  std::to_string(*seq) + ")");
+    }
+    if (*seq == cursor) {
+      const std::size_t at = out.size();
+      out.resize(at + static_cast<std::size_t>(frame_bytes));
+      auto frame = ReadAt(fd_, out.data() + at,
+                          static_cast<std::size_t>(frame_bytes), offset_,
+                          path_);
+      if (!frame.ok() || *frame != frame_bytes ||
+          !pipeline::V2FramePayloadVerifies(
+              *header, std::string_view(out).substr(
+                           at + header->header_bytes,
+                           static_cast<std::size_t>(header->payload_size)))) {
+        out.resize(at);
+        if (!frame.ok()) return frame.status();
+        return util::Status::Corrupt("journal record " +
+                                     std::to_string(*seq) +
+                                     " failed its checksum");
+      }
+      ++cursor;
+      ++frames;
+    }
+    // Frames below the cursor are stepped over by their headers alone.
+    offset_ += frame_bytes;
+    offset_seq_ = *seq + 1;
+    offset_seq_known_ = true;
+  }
+  return frames;
 }
 
 util::StatusOr<Journal> Journal::Open(std::string path, bool fsync_appends) {
@@ -302,6 +482,7 @@ util::StatusOr<Journal> Journal::Open(std::string path, bool fsync_appends) {
   journal.next_seq_ = journal.recovered_.records.empty()
                           ? journal.recovered_.base_seq
                           : journal.recovered_.records.back().seq + 1;
+  journal.progress_->Publish(journal.next_seq_, journal.base_seq_);
   return journal;
 }
 
@@ -313,6 +494,7 @@ Journal::Journal(Journal&& other) noexcept
       next_seq_(other.next_seq_),
       base_seq_(other.base_seq_),
       compaction_resumed_(other.compaction_resumed_),
+      progress_(std::move(other.progress_)),
       appends_(other.appends_),
       append_bytes_(other.append_bytes_),
       compactions_(other.compactions_),
@@ -330,6 +512,7 @@ Journal& Journal::operator=(Journal&& other) noexcept {
     next_seq_ = other.next_seq_;
     base_seq_ = other.base_seq_;
     compaction_resumed_ = other.compaction_resumed_;
+    progress_ = std::move(other.progress_);
     appends_ = other.appends_;
     append_bytes_ = other.append_bytes_;
     compactions_ = other.compactions_;
@@ -376,15 +559,20 @@ util::StatusOr<std::uint64_t> Journal::AppendImpl(
   }
   appends_.Increment();
   append_bytes_.Increment(frame.size());
-  return next_seq_++;
+  const std::uint64_t seq = next_seq_++;
+  if (sync) progress_->Publish(next_seq_, base_seq_);
+  return seq;
 }
 
 util::Status Journal::Sync() {
   if (file_ == nullptr) {
     return util::Status::InvalidArgument("journal is not open");
   }
-  if (!fsync_appends_) return util::Status::Ok();
-  return SyncFile(file_, path_);
+  if (fsync_appends_) {
+    if (auto status = SyncFile(file_, path_); !status.ok()) return status;
+  }
+  progress_->Publish(next_seq_, base_seq_);
+  return util::Status::Ok();
 }
 
 util::Status Journal::Compact(std::uint64_t through_seq) {
@@ -442,6 +630,7 @@ util::Status Journal::Compact(std::uint64_t through_seq) {
 
   base_seq_ = new_base;
   next_seq_ = std::max(next_seq_, new_base);
+  progress_->Publish(next_seq_, base_seq_);
   compactions_.Increment();
   compacted_records_.Increment(dropped);
   return util::Status::Ok();

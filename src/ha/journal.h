@@ -31,9 +31,17 @@
 // truncation to the verified state. A file whose first record is *ahead*
 // of the manifest base (or nonzero with no manifest at all) means records
 // were lost and is a typed kCorrupt.
+//
+// Readers on other threads (the ship plane) never touch the Journal
+// object: they follow the JournalProgress it publishes and read the file
+// itself through a JournalTailReader.
 #pragma once
 
+#include <atomic>
+#include <condition_variable>
 #include <cstdio>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <string_view>
@@ -93,6 +101,9 @@ struct JournalRecord {
 // (src/net/wire) so both sides reject hostile frames identically.
 [[nodiscard]] util::StatusOr<JournalRecord> DecodeJournalFrame(
     const pipeline::V2Frame& frame);
+// The same, over a frame verified in place (header plus payload view).
+[[nodiscard]] util::StatusOr<JournalRecord> DecodeJournalFrame(
+    const pipeline::V2FrameHeader& header, std::string_view payload);
 
 struct JournalRecovery {
   std::vector<JournalRecord> records;
@@ -116,6 +127,72 @@ struct JournalRecovery {
 // to zero records with the stub counted as torn.
 [[nodiscard]] util::StatusOr<JournalRecovery> RecoverJournalBytes(
     std::string_view bytes);
+
+// What the journal has made durable, published for readers on other
+// threads: the seq one past the durable tail and the compacted base.
+// Loads are lock-free; WaitForAdvance parks a reader until the durable
+// tail moves, so a tailing reader wakes on the append instead of a poll.
+class JournalProgress {
+ public:
+  [[nodiscard]] std::uint64_t durable_next_seq() const {
+    return durable_next_seq_.load(std::memory_order_acquire);
+  }
+  [[nodiscard]] std::uint64_t base_seq() const {
+    return base_seq_.load(std::memory_order_acquire);
+  }
+  // Blocks until durable_next_seq() differs from `seen` or `timeout_ms`
+  // passes; returns durable_next_seq().
+  std::uint64_t WaitForAdvance(std::uint64_t seen, int timeout_ms) const;
+  // Writer side (the Journal): stores both values and wakes every waiter.
+  void Publish(std::uint64_t durable_next_seq, std::uint64_t base_seq);
+
+ private:
+  mutable std::mutex mu_;
+  mutable std::condition_variable advanced_;
+  std::atomic<std::uint64_t> durable_next_seq_{0};
+  std::atomic<std::uint64_t> base_seq_{0};
+};
+
+// Incremental reader of a live journal file, for shipping it verbatim:
+// hands out the bytes of every complete, CRC-verified frame from a seq
+// on, reading only the bytes past the last frame it handed out. A torn
+// frame at the end of the file (an append in flight) is left for a later
+// call. Compaction replaces the file (an atomic rename); the reader
+// notices the new file at the path and re-anchors by walking its frame
+// headers to the requested seq. Every frame it returns passed its
+// checksum and carries the next contiguous seq.
+class JournalTailReader {
+ public:
+  explicit JournalTailReader(std::string path) : path_(std::move(path)) {}
+  ~JournalTailReader();
+  JournalTailReader(const JournalTailReader&) = delete;
+  JournalTailReader& operator=(const JournalTailReader&) = delete;
+
+  // Appends to `out` the frames with seq in [cursor, ...) that are
+  // complete on disk and returns how many. Errors:
+  //   kNoData   - the file no longer holds `cursor` (compaction dropped
+  //               it); the caller must fall back to a snapshot.
+  //   kCorrupt  - bad magic, a frame failed its checksum, or a seq gap.
+  //   kIoError  - the file could not be opened or read.
+  [[nodiscard]] util::StatusOr<std::uint64_t> ReadFrom(std::uint64_t cursor,
+                                                       std::string& out);
+
+ private:
+  // (Re)opens the file at path_ when it names a different file than the
+  // open descriptor, resetting the walk to the first frame.
+  [[nodiscard]] util::Status Follow();
+
+  std::string path_;
+  int fd_ = -1;
+  std::uint64_t dev_ = 0;
+  std::uint64_t ino_ = 0;
+  // Frame boundary the walk resumes at, and the seq of that frame (valid
+  // once a frame has been read there).
+  std::uint64_t offset_ = 0;
+  std::uint64_t offset_seq_ = 0;
+  bool offset_seq_known_ = false;
+  std::string header_;  // scratch for one frame header
+};
 
 class Journal {
  public:
@@ -175,6 +252,13 @@ class Journal {
     return compaction_resumed_;
   }
   [[nodiscard]] const std::string& path() const { return path_; }
+  // The durable tail and base, published after every fsync, Sync() and
+  // compaction. The object lives on the heap, so its address is stable
+  // across moves of the Journal; readers on other threads hold it
+  // instead of the Journal.
+  [[nodiscard]] const JournalProgress& progress() const {
+    return *progress_;
+  }
   [[nodiscard]] std::string manifest_path() const {
     return JournalManifestPath(path_);
   }
@@ -218,6 +302,8 @@ class Journal {
   std::uint64_t next_seq_ = 0;
   std::uint64_t base_seq_ = 0;
   bool compaction_resumed_ = false;
+  std::unique_ptr<JournalProgress> progress_ =
+      std::make_unique<JournalProgress>();
   obs::Counter appends_;
   obs::Counter append_bytes_;
   obs::Counter compactions_;

@@ -118,7 +118,6 @@ void Replica::Apply(const JournalRecord& record) {
 
 void Replica::PublishProgress() {
   published_applied_seq_.Set(static_cast<double>(applied_seq_));
-  published_journal_base_seq_.Set(static_cast<double>(journal_.base_seq()));
 }
 
 util::Status Replica::CheckpointAfterDayCrossing() {
@@ -201,21 +200,32 @@ util::Status Replica::SnapshotNow() {
   auto status = SaveSnapshot(config_.snapshot_path, state);
   if (status.ok()) {
     snapshots_taken_.Increment();
-    last_snapshot_seq_ = std::max(last_snapshot_seq_, applied_seq_);
+    if (applied_seq_ > last_snapshot_seq_) {
+      previous_snapshot_seq_ = last_snapshot_seq_;
+      last_snapshot_seq_ = applied_seq_;
+    }
   }
   return status;
 }
 
 util::Status Replica::CompactThroughSnapshot() {
+  std::uint64_t through = last_snapshot_seq_;
+  if (retention_floor_) {
+    if (const auto floor = retention_floor_(); floor && *floor < through) {
+      through = std::max(*floor, previous_snapshot_seq_);
+    }
+  }
   const std::uint64_t base = journal_.base_seq();
-  if (last_snapshot_seq_ <= base) return util::Status::Ok();
-  const std::uint64_t droppable = last_snapshot_seq_ - base;
+  through = std::max(through, base);
+  published_retained_records_.Set(
+      static_cast<double>(last_snapshot_seq_ > through
+                              ? last_snapshot_seq_ - through
+                              : 0));
+  const std::uint64_t droppable = through - base;
   if (droppable < std::max<std::uint64_t>(config_.compact_min_records, 1)) {
     return util::Status::Ok();
   }
-  util::Status status = journal_.Compact(last_snapshot_seq_);
-  PublishProgress();
-  return status;
+  return journal_.Compact(through);
 }
 
 util::Status Replica::InstallSnapshot(const SnapshotState& state) {
@@ -237,9 +247,9 @@ util::Status Replica::InstallSnapshot(const SnapshotState& state) {
   // records all predate the installed state, and leaving them would make
   // the next warm start look like a snapshot-ahead-of-journal corruption.
   if (auto status = SnapshotNow(); !status.ok()) return status;
-  util::Status compacted = journal_.Compact(applied_seq_);
-  PublishProgress();
-  if (!compacted.ok()) return compacted;
+  if (auto status = journal_.Compact(applied_seq_); !status.ok()) {
+    return status;
+  }
   snapshots_installed_.Increment();
   return util::Status::Ok();
 }
@@ -330,7 +340,14 @@ obs::MetricGroup Replica::RegisterMetrics(obs::Registry& registry,
   group.push_back(registry.RegisterGauge(
       prefix + "_journal_base_seq",
       "Oldest sequence number still present in the journal file",
-      [this] { return published_journal_base_seq_.value(); }));
+      [this] {
+        return static_cast<double>(journal_.progress().base_seq());
+      }));
+  group.push_back(registry.RegisterGauge(
+      prefix + "_journal_standby_retained_records",
+      "Records the newest snapshot covers that the last compaction kept "
+      "for live shipping standbys",
+      [this] { return published_retained_records_.value(); }));
   group.push_back(registry.RegisterGauge(
       prefix + "_applied_seq", "Next journal sequence number to apply",
       [this] { return published_applied_seq_.value(); }));

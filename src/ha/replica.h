@@ -18,6 +18,8 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <string>
 
 #include "core/online.h"
@@ -106,9 +108,28 @@ class Replica {
   [[nodiscard]] util::Status SnapshotNow();
 
   // Drops the journal prefix covered by the newest on-disk snapshot
-  // (manifest-before-truncate; see Journal::Compact). No-op when nothing
-  // new is covered or fewer than compact_min_records would drop.
+  // (manifest-before-truncate; see Journal::Compact), except what live
+  // journal readers still need: the retention floor, read here each
+  // time, holds the cut back to the slowest reader's cursor, but never
+  // below the previous checkpoint's seq, so the journal spans at most
+  // about two checkpoints. A reader further behind falls back to a
+  // snapshot. No-op when nothing new is covered or fewer than
+  // compact_min_records would drop.
   [[nodiscard]] util::Status CompactThroughSnapshot();
+
+  // The oldest seq a live reader of the journal file (a shipping
+  // standby's stream) has yet to read, or nullopt when none is live.
+  // The callback runs on the writer's thread inside compaction and must
+  // not call back into the replica. An empty function clears it.
+  using RetentionFloor = std::function<std::optional<std::uint64_t>()>;
+  void SetRetentionFloor(RetentionFloor floor) {
+    retention_floor_ = std::move(floor);
+  }
+  // Records the newest snapshot covers that the last compaction kept
+  // for live readers (0 when no reader held it back).
+  [[nodiscard]] std::uint64_t standby_retained_records() const {
+    return static_cast<std::uint64_t>(published_retained_records_.value());
+  }
 
   // Adopts a remotely sourced snapshot (the ship-side catch-up transfer):
   // restores the state, persists it locally, and resets the local journal
@@ -187,7 +208,8 @@ class Replica {
         config_(std::move(config)) {}
 
   void Apply(const JournalRecord& record);
-  // Publishes applied_seq and the journal base for the registry gauges.
+  // Publishes applied_seq for the registry gauge (the journal publishes
+  // its own base and durable tail).
   void PublishProgress();
   // Day-boundary bookkeeping shared by Ingest/Heartbeat/IngestBatch:
   // snapshot (and optionally compact) when the applied record crossed a
@@ -200,6 +222,10 @@ class Replica {
   ReplicaRecovery recovery_;
   std::uint64_t applied_seq_ = 0;  // seqs below this are in retrainer_
   std::uint64_t last_snapshot_seq_ = 0;
+  // The checkpoint before last_snapshot_seq_: the lowest seq compaction
+  // keeps for a slow reader.
+  std::uint64_t previous_snapshot_seq_ = 0;
+  RetentionFloor retention_floor_;
   obs::Counter duplicate_records_skipped_;
   obs::Counter snapshots_taken_;
   obs::Counter snapshots_installed_;
@@ -210,7 +236,7 @@ class Replica {
   util::HourIndex last_data_hour_ =
       std::numeric_limits<util::HourIndex>::min();
   obs::Gauge published_applied_seq_;
-  obs::Gauge published_journal_base_seq_;
+  obs::Gauge published_retained_records_;
 };
 
 // CRC-32C fingerprint of a replica's full logical state: the served

@@ -28,7 +28,12 @@ namespace {
 
 Daemon::Daemon(ha::Replica* replica, obs::Registry* registry,
                DaemonConfig config)
-    : replica_(replica), registry_(registry), config_(std::move(config)) {
+    : replica_(replica),
+      registry_(registry),
+      config_(std::move(config)),
+      journal_path_(replica->journal().path()),
+      snapshot_path_(replica->snapshot_path()),
+      journal_progress_(&replica->journal().progress()) {
   const std::string& p = config_.metric_prefix;
   metric_handles_.push_back(registry_->RegisterCounter(
       p + "_net_connections_total", "Connections accepted across listeners",
@@ -91,9 +96,9 @@ Daemon::Daemon(ha::Replica* replica, obs::Registry* registry,
       [this] { return ingest_sources_.value(); }));
   metric_handles_.push_back(registry_->RegisterGauge(
       p + "_net_ship_lag_seq",
-      "Journal frames the most recently polled ship subscriber still "
-      "lacks",
-      [this] { return ship_lag_seq_.value(); }));
+      "Durable journal records the slowest live ship stream has yet to "
+      "send",
+      [this] { return ship_lag_seq(); }));
   auto epoch_handles = epoch_.RegisterMetrics(*registry_, p);
   for (auto& handle : epoch_handles) {
     metric_handles_.push_back(std::move(handle));
@@ -129,8 +134,13 @@ util::Status Daemon::Start() {
   last_applied_hour_.store(last_applied, std::memory_order_release);
 
   // Serving goes through the epoch from here on; every later retrain
-  // publishes into it.
+  // publishes into it. Compaction keeps what live ship streams still
+  // need.
   replica_->mutable_retrainer().PublishTo(&epoch_);
+  {
+    std::lock_guard<std::mutex> lock(replica_mu_);
+    replica_->SetRetentionFloor([this] { return SlowestShipCursor(); });
+  }
 
   stop_.store(false, std::memory_order_release);
   running_ = true;
@@ -163,6 +173,10 @@ void Daemon::Stop() {
   }
   for (auto& connection : connections) connection.thread.join();
   replica_->mutable_retrainer().PublishTo(nullptr);
+  {
+    std::lock_guard<std::mutex> lock(replica_mu_);
+    replica_->SetRetentionFloor(nullptr);
+  }
   running_ = false;
 }
 
@@ -175,6 +189,35 @@ util::Status Daemon::AdvanceClock(util::HourIndex hour) {
 }
 
 core::ModelHealth Daemon::health() const { return replica_->health(); }
+
+double Daemon::ship_lag_seq() const {
+  const std::uint64_t durable = journal_progress_->durable_next_seq();
+  std::uint64_t lag = 0;
+  std::lock_guard<std::mutex> lock(ship_cursors_mu_);
+  for (const auto& [stream, cursor] : ship_cursors_) {
+    if (durable > cursor) lag = std::max(lag, durable - cursor);
+  }
+  return static_cast<double>(lag);
+}
+
+void Daemon::TrackShipCursor(std::uint64_t stream, std::uint64_t cursor) {
+  std::lock_guard<std::mutex> lock(ship_cursors_mu_);
+  ship_cursors_[stream] = cursor;
+}
+
+void Daemon::ForgetShipStream(std::uint64_t stream) {
+  std::lock_guard<std::mutex> lock(ship_cursors_mu_);
+  ship_cursors_.erase(stream);
+}
+
+std::optional<std::uint64_t> Daemon::SlowestShipCursor() const {
+  std::lock_guard<std::mutex> lock(ship_cursors_mu_);
+  std::optional<std::uint64_t> slowest;
+  for (const auto& [stream, cursor] : ship_cursors_) {
+    if (!slowest || cursor < *slowest) slowest = cursor;
+  }
+  return slowest;
+}
 
 void Daemon::AcceptLoop(Listener* listener,
                         void (Daemon::*handler)(Socket)) {
@@ -510,79 +553,67 @@ void Daemon::HandleShip(Socket socket) {
   }
   ship_streams_.Increment();
 
-  // Tail the journal file, shipping verified frames from the requested
-  // seq on. Re-reading and re-verifying the whole file per poll is O(file)
-  // but reuses the recovery path byte for byte — a torn tail mid-append is
-  // simply not shipped until the next poll sees it complete. Re-encoding
-  // a recovered record reproduces its file bytes exactly (the codec is
-  // deterministic), so the standby receives the journal verbatim.
+  // The ship plane never takes replica_mu_: the journal and snapshot
+  // paths are fixed, the live base and durable tail come from the
+  // journal's published progress, and the file is read through a tail
+  // reader that ships only the verified frames past its last one, as the
+  // journal's own bytes.
   //
-  // Catch-up: when the cursor predates the compacted journal base, the
-  // requested prefix no longer exists on disk. Before any journal bytes
-  // have been sent this is served as a snapshot transfer (offer + chunks,
-  // then the suffix from the snapshot's applied_seq). If compaction
-  // overtakes the cursor AFTER journal bytes went out, the stream cannot
-  // be spliced — drop the connection and let the standby reconnect into
-  // the snapshot path.
+  // The stream's cursor (the next seq it will send) sits in the
+  // live-cursor table from before the base is first read until the
+  // stream ends, so every compaction that starts meanwhile keeps it —
+  // unless the stream falls more than a checkpoint behind.
+  std::uint64_t stream = 0;
+  {
+    std::lock_guard<std::mutex> lock(ship_cursors_mu_);
+    stream = next_ship_stream_++;
+  }
+  struct Forget {
+    Daemon* daemon;
+    std::uint64_t stream;
+    ~Forget() { daemon->ForgetShipStream(stream); }
+  } forget{this, stream};
+
+  // Catch-up: a cursor below the LIVE base (not the file's: an empty
+  // compacted file self-describes base 0) asks for a prefix that no
+  // longer exists on disk. No journal bytes have gone out yet, so it is
+  // served as a snapshot transfer (offer + chunks), and the stream
+  // resumes from the snapshot's applied_seq once that is inside the
+  // journal.
   std::uint64_t cursor = request->from_seq;
-  bool magic_sent = false;
+  for (;;) {
+    if (stop_.load(std::memory_order_acquire)) return;
+    TrackShipCursor(stream, cursor);
+    const std::uint64_t live_base = journal_progress_->base_seq();
+    if (cursor >= live_base) break;
+    auto resume = SendSnapshotTransfer(socket, live_base);
+    if (!resume.ok()) return;
+    cursor = *resume;
+  }
+  if (!socket.SendAll(ha::JournalMagic()).ok()) return;
+
+  // Tail: read, send, then sleep until the journal's durable tail moves
+  // past what was read (the writer publishes right after each batch
+  // fsync, before it applies or checkpoints). idle_poll_ms only bounds
+  // the sleep, so Stop() and a departed standby are still noticed. A
+  // cursor that compaction overtakes mid-stream (the stream stalled past
+  // the previous checkpoint) cannot be spliced: the reader reports
+  // kNoData and the standby reconnects into the snapshot path.
+  ha::JournalTailReader tail(journal_path_);
+  std::string frames;
   while (!stop_.load(std::memory_order_acquire)) {
-    std::string path;
-    std::uint64_t live_base = 0;
-    {
-      std::lock_guard<std::mutex> lock(replica_mu_);
-      path = replica_->journal().path();
-      // The LIVE base, not the file's: an empty compacted journal file
-      // self-describes base 0, which would wrongly suggest the whole
-      // history is still servable.
-      live_base = replica_->journal().base_seq();
+    const std::uint64_t seen = journal_progress_->durable_next_seq();
+    frames.clear();
+    auto read = tail.ReadFrom(cursor, frames);
+    if (!read.ok()) return;
+    if (*read > 0) {
+      if (!socket.SendAll(frames).ok()) return;
+      cursor += *read;
+      ship_frames_sent_.Increment(*read);
+      TrackShipCursor(stream, cursor);
     }
-    if (cursor < live_base) {
-      if (magic_sent) return;  // mid-stream base advance: force reconnect
-      auto resume = SendSnapshotTransfer(socket, live_base);
-      if (!resume.ok()) return;
-      cursor = *resume;
-      continue;  // re-check the base before streaming the suffix
-    }
-    if (!magic_sent) {
-      if (!socket.SendAll(ha::JournalMagic()).ok()) return;
-      magic_sent = true;
-      // After the handshake the standby never sends; a 1ms read poll per
-      // round detects its departure (EOF) without blocking the tail loop.
-      (void)socket.SetReadDeadline(1);
-    }
-    auto bytes = util::ReadFileToString(path);
-    if (bytes.ok()) {
-      auto recovery = ha::RecoverJournalBytes(*bytes);
-      if (!recovery.ok()) return;  // journal replaced/unreadable: bail
-      const auto& records = recovery->records;
-      const std::uint64_t file_base = recovery->base_seq;
-      const std::uint64_t file_next = file_base + records.size();
-      ship_lag_seq_.Set(cursor < file_next
-                            ? static_cast<double>(file_next - cursor)
-                            : 0.0);
-      if (cursor < file_base) {
-        // Compaction landed between the base check and the file read (or
-        // mid-tail); same verdict as above.
-        return;
-      }
-      for (; cursor < file_next; ++cursor) {
-        if (!socket
-                 .SendAll(ha::EncodeJournalRecord(
-                     records[cursor - file_base]))
-                 .ok()) {
-          return;
-        }
-        ship_frames_sent_.Increment();
-      }
-      ship_lag_seq_.Set(0.0);
-    }
-    if (auto probe = socket.RecvSome(16); !probe.ok()) {
-      if (probe.status().code() != util::StatusCode::kUnavailable) {
-        return;  // standby hung up (or the socket died)
-      }
-    }
-    if (!SleepInterruptible(config_.idle_poll_ms, &stop_)) return;
+    if (!socket.PeerOpen()) return;  // the standby hung up
+    (void)journal_progress_->WaitForAdvance(seen, config_.idle_poll_ms);
   }
 }
 
@@ -591,12 +622,7 @@ util::StatusOr<std::uint64_t> Daemon::SendSnapshotTransfer(
   // Read and verify the snapshot file BEFORE offering it: a damaged or
   // stale snapshot must fail the transfer here (standby keeps its state
   // and retries) rather than mid-stream.
-  std::string snapshot_path;
-  {
-    std::lock_guard<std::mutex> lock(replica_mu_);
-    snapshot_path = replica_->snapshot_path();
-  }
-  auto blob = util::ReadFileToString(snapshot_path);
+  auto blob = util::ReadFileToString(snapshot_path_);
   if (!blob.ok()) return blob.status();
   auto snapshot = ha::DecodeSnapshot(*blob);
   if (!snapshot.ok()) return snapshot.status();

@@ -14,9 +14,11 @@
 //              stays bit-identical to an uninterrupted feed.
 //   ship     — journal shipping to standbys: a standby asks for
 //              `from_seq` and the daemon streams its journal's verified
-//              frames from that seq on, tailing the file as new appends
-//              land. Only verified frames travel — a torn tail mid-append
-//              is simply not sent yet.
+//              frames from that seq on, waking on each durable append and
+//              reading only the bytes past its last frame. Only verified
+//              frames travel — a torn tail mid-append is simply not sent
+//              yet. Compaction keeps what live streams still need, so a
+//              connected standby follows the tail across day boundaries.
 //   metrics  — GET /metrics, Prometheus text from the wired registry.
 //
 // Degradation is the replica's own FRESH -> STALE -> EXPIRED aging: when
@@ -31,6 +33,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -171,8 +174,9 @@ class Daemon {
   [[nodiscard]] std::uint64_t metrics_scrapes() const {
     return metrics_scrapes_.value();
   }
-  // Journal frames the slowest live ship subscriber still lacks.
-  [[nodiscard]] double ship_lag_seq() const { return ship_lag_seq_.value(); }
+  // Durable journal records the slowest live ship stream has yet to
+  // send (0 with no live stream).
+  [[nodiscard]] double ship_lag_seq() const;
   // Connections refused for failed or missing message authentication.
   [[nodiscard]] std::uint64_t auth_failures() const {
     return auth_failures_.value();
@@ -227,9 +231,20 @@ class Daemon {
   [[nodiscard]] util::StatusOr<std::uint64_t> SendSnapshotTransfer(
       Socket& socket, std::uint64_t journal_base);
 
+  // The live-cursor table: each ship stream's next seq to send, keyed by
+  // stream id. Compaction keeps the journal back to the slowest (the
+  // replica's retention floor); the lag gauge reports the largest gap.
+  void TrackShipCursor(std::uint64_t stream, std::uint64_t cursor);
+  void ForgetShipStream(std::uint64_t stream);
+  [[nodiscard]] std::optional<std::uint64_t> SlowestShipCursor() const;
+
   ha::Replica* replica_;
   obs::Registry* registry_;
   DaemonConfig config_;
+  // Fixed for the daemon's life, so the ship plane reads them unlocked.
+  const std::string journal_path_;
+  const std::string snapshot_path_;
+  const ha::JournalProgress* const journal_progress_;
 
   Listener predict_listener_;
   Listener ingest_listener_;
@@ -247,10 +262,11 @@ class Daemon {
   std::vector<Connection> connections_;
 
   // Serializes every replica mutation (ingest, heartbeat) and the ingest
-  // and ship planes' reads of journal state. The predict plane (predict
-  // and what-if) never takes it: it reads the epoch and the status the
-  // retrainer publishes, so a read never waits behind a day-boundary
-  // retrain, snapshot or compaction.
+  // plane's reads of journal state. Neither the predict plane (predict
+  // and what-if) nor the ship plane takes it: reads answer from the epoch
+  // and the status the retrainer publishes, and shipping follows the
+  // journal's published progress and reads the file itself, so neither
+  // waits behind a day-boundary retrain, snapshot or compaction.
   std::mutex replica_mu_;
   core::ModelEpoch epoch_;
   std::atomic<util::HourIndex> last_applied_hour_{-1};
@@ -270,7 +286,11 @@ class Daemon {
   obs::Counter ingest_batched_records_;
   obs::Counter metrics_scrapes_;
   obs::Counter auth_failures_;
-  obs::Gauge ship_lag_seq_;
+  // Never held while taking another lock (the retention floor reads it
+  // under replica_mu_, a scrape under the registry lock).
+  mutable std::mutex ship_cursors_mu_;
+  std::map<std::uint64_t, std::uint64_t> ship_cursors_;
+  std::uint64_t next_ship_stream_ = 0;
   // sources_.size(), kept by SourceFor for the registry gauge: a scrape
   // must not take sources_mu_ under the registry lock, because SourceFor
   // registers counters (the registry lock) while holding sources_mu_.

@@ -140,6 +140,20 @@ util::StatusOr<std::string> Socket::RecvSome(std::size_t max) {
   }
 }
 
+bool Socket::PeerOpen() {
+  if (!valid()) return false;
+  char scratch[256];
+  // Bounded, so a peer that keeps talking cannot hold the caller here.
+  for (int reads = 0; reads < 16; ++reads) {
+    const ssize_t r = ::recv(fd_, scratch, sizeof(scratch), MSG_DONTWAIT);
+    if (r > 0) continue;
+    if (r == 0) return false;
+    if (errno == EINTR) continue;
+    return errno == EAGAIN || errno == EWOULDBLOCK;
+  }
+  return true;
+}
+
 util::StatusOr<Listener> Listener::Open(std::uint16_t port,
                                         bool any_interface) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);

@@ -67,6 +67,12 @@ class Socket {
   // kUnavailable.
   [[nodiscard]] util::StatusOr<std::string> RecvSome(std::size_t max);
 
+  // Non-blocking liveness probe for a connection whose peer has stopped
+  // talking (a shipping standby after its handshake): discards whatever
+  // bytes are pending and returns false once the peer has closed or the
+  // connection failed.
+  [[nodiscard]] bool PeerOpen();
+
  private:
   int fd_ = -1;
 };

@@ -762,36 +762,50 @@ util::Status JournalStreamDecoder::Feed(std::string_view bytes,
     magic_pending_ = false;
   }
 
-  while (!buffer_.empty()) {
-    std::istringstream in(buffer_);
-    auto frame = pipeline::ReadV2Frame(in);
-    if (!frame.ok()) {
-      if (frame.status().code() == util::StatusCode::kTruncated) {
-        // The rest of the frame has not arrived yet; keep the bytes
-        // buffered. Finish() turns this into kTruncated if the
-        // connection ends here.
-        return util::Status::Ok();
+  // Frames are parsed and verified in place; the consumed prefix is
+  // erased once per call, so a frame arriving a byte at a time costs
+  // O(frame), not O(frame^2).
+  std::size_t consumed = 0;
+  util::Status status;
+  while (consumed < buffer_.size()) {
+    const std::string_view rest = std::string_view(buffer_).substr(consumed);
+    auto header = pipeline::ParseV2FrameHeader(rest);
+    if (!header.ok()) {
+      // kTruncated: the rest of the frame has not arrived yet; keep the
+      // bytes buffered. Finish() turns this into kTruncated if the
+      // connection ends here.
+      if (header.status().code() != util::StatusCode::kTruncated) {
+        status = header.status();
       }
-      status_ = frame.status();
-      return status_;
+      break;
     }
-    auto record = ha::DecodeJournalFrame(*frame);
+    if (rest.size() - header->header_bytes < header->payload_size) break;
+    const std::string_view payload = rest.substr(
+        header->header_bytes, static_cast<std::size_t>(header->payload_size));
+    if (!pipeline::V2FramePayloadVerifies(*header, payload)) {
+      status = util::Status::Corrupt("hour " + std::to_string(header->hour) +
+                                     " block checksum mismatch");
+      break;
+    }
+    auto record = ha::DecodeJournalFrame(*header, payload);
     if (!record.ok()) {
-      status_ = record.status();
-      return status_;
+      status = record.status();
+      break;
     }
     if (record->seq != next_seq_) {
-      status_ = util::Status::Corrupt(
+      status = util::Status::Corrupt(
           "journal stream sequence gap: expected seq " +
           std::to_string(next_seq_) + ", got " +
           std::to_string(record->seq));
-      return status_;
+      break;
     }
-    buffer_.erase(0, static_cast<std::size_t>(in.tellg()));
+    consumed += header->header_bytes + payload.size();
     ++next_seq_;
     out.push_back(*std::move(record));
   }
-  return util::Status::Ok();
+  buffer_.erase(0, consumed);
+  status_ = status;
+  return status_;
 }
 
 util::Status JournalStreamDecoder::Finish() const {

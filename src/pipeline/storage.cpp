@@ -294,6 +294,26 @@ void WriteV2Frame(std::ostream& out, util::HourIndex hour,
   out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
 }
 
+namespace {
+
+// Length guards shared by the stream and in-place frame readers: checked
+// before any payload byte is read or allocated.
+util::Status CheckV2FrameLengths(std::uint64_t count,
+                                 std::uint64_t payload_size) {
+  if (payload_size > kMaxHourPayloadBytes) {
+    return util::Status::Corrupt("implausible hour payload size " +
+                                 std::to_string(payload_size));
+  }
+  if (count > payload_size / kMinEncodedRowBytes) {
+    return util::Status::Corrupt(
+        "row count " + std::to_string(count) + " exceeds what " +
+        std::to_string(payload_size) + " payload bytes can encode");
+  }
+  return util::Status::Ok();
+}
+
+}  // namespace
+
 util::StatusOr<V2Frame> ReadV2Frame(std::istream& in) {
   const auto hour_raw = GetVarint(in);
   const auto count = GetVarint(in);
@@ -301,14 +321,9 @@ util::StatusOr<V2Frame> ReadV2Frame(std::istream& in) {
   if (!hour_raw || !count || !payload_size) {
     return util::Status::Truncated("hour block header ends early");
   }
-  if (*payload_size > kMaxHourPayloadBytes) {
-    return util::Status::Corrupt("implausible hour payload size " +
-                                 std::to_string(*payload_size));
-  }
-  if (*count > *payload_size / kMinEncodedRowBytes) {
-    return util::Status::Corrupt(
-        "row count " + std::to_string(*count) + " exceeds what " +
-        std::to_string(*payload_size) + " payload bytes can encode");
+  if (auto status = CheckV2FrameLengths(*count, *payload_size);
+      !status.ok()) {
+    return status;
   }
   std::uint32_t crc = 0;
   in.read(reinterpret_cast<char*>(&crc), sizeof(crc));
@@ -331,6 +346,41 @@ util::StatusOr<V2Frame> ReadV2Frame(std::istream& in) {
                                  " block checksum mismatch");
   }
   return frame;
+}
+
+util::StatusOr<V2FrameHeader> ParseV2FrameHeader(std::string_view bytes) {
+  std::size_t pos = 0;
+  const auto hour_raw = GetVarint(bytes, pos);
+  const auto count = hour_raw ? GetVarint(bytes, pos) : std::nullopt;
+  const auto payload_size = count ? GetVarint(bytes, pos) : std::nullopt;
+  if (!payload_size) {
+    // A varint cut short by the buffer end is a torn header; one that
+    // overflows 64 bits within the longest header is damage.
+    if (bytes.size() >= kMaxV2FrameHeaderBytes) {
+      return util::Status::Corrupt("hour block header varint overflows");
+    }
+    return util::Status::Truncated("hour block header ends early");
+  }
+  if (auto status = CheckV2FrameLengths(*count, *payload_size);
+      !status.ok()) {
+    return status;
+  }
+  V2FrameHeader header;
+  if (bytes.size() - pos < sizeof(header.crc)) {
+    return util::Status::Truncated("hour block checksum ends early");
+  }
+  std::memcpy(&header.crc, bytes.data() + pos, sizeof(header.crc));
+  header.hour = ZigzagDecode(*hour_raw);
+  header.count = *count;
+  header.payload_size = *payload_size;
+  header.header_bytes = pos + sizeof(header.crc);
+  return header;
+}
+
+bool V2FramePayloadVerifies(const V2FrameHeader& header,
+                            std::string_view payload) {
+  return payload.size() == header.payload_size &&
+         HourBlockCrc(header.hour, header.count, payload) == header.crc;
 }
 
 void EncodeRowsVerbatim(std::ostream& out, std::span<const AggRow> rows) {

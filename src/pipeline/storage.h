@@ -76,6 +76,28 @@ void WriteV2Frame(std::ostream& out, util::HourIndex hour,
 // by the caller (peek) before calling.
 [[nodiscard]] util::StatusOr<V2Frame> ReadV2Frame(std::istream& in);
 
+// The fixed part of a v2 frame, parsed in place from a byte buffer (the
+// journal's incremental ship tail reads frames by offset, not through a
+// stream). The payload_size bytes that follow header_bytes are the
+// payload the stored checksum covers.
+struct V2FrameHeader {
+  util::HourIndex hour = 0;
+  std::uint64_t count = 0;
+  std::uint64_t payload_size = 0;
+  std::uint32_t crc = 0;
+  std::size_t header_bytes = 0;  // varints + checksum
+};
+// Longest possible header: three 10-byte varints and the checksum.
+inline constexpr std::size_t kMaxV2FrameHeaderBytes = 34;
+// kTruncated when `bytes` ends inside the header, kCorrupt on the same
+// implausible lengths ReadV2Frame refuses. The payload need not be
+// present yet.
+[[nodiscard]] util::StatusOr<V2FrameHeader> ParseV2FrameHeader(
+    std::string_view bytes);
+// True when `payload` (payload_size bytes) matches the header's checksum.
+[[nodiscard]] bool V2FramePayloadVerifies(const V2FrameHeader& header,
+                                          std::string_view payload);
+
 // --- Verbatim row codec: preserves row order and each row's own hour
 // field, so a replayed stream is bit-identical to the live one. Used by
 // the HA journal and snapshot; the archive format instead sorts rows for

@@ -9,8 +9,10 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <tuple>
@@ -590,6 +592,152 @@ TEST(JournalManifestByteFlipFuzz, EveryMutationIsATypedRefusal) {
   EXPECT_FALSE(ha::DecodeJournalManifest(clean + '\0').ok());
 }
 
+// ------------------------------------------------------------ journal tail
+
+// The frames for seqs [first, first + count) as AppendHours lays them out
+// on disk (seq == hour).
+std::string HourFrames(const HaFixture& fixture, std::uint64_t first,
+                       std::uint64_t count) {
+  std::string out;
+  for (std::uint64_t seq = first; seq < first + count; ++seq) {
+    ha::JournalRecord record;
+    record.seq = seq;
+    record.hour = static_cast<util::HourIndex>(seq);
+    record.rows = fixture.HourRows(record.hour);
+    out += ha::EncodeJournalRecord(record);
+  }
+  return out;
+}
+
+void AppendRaw(const std::string& path, std::string_view bytes) {
+  std::FILE* file = std::fopen(path.c_str(), "ab");
+  ASSERT_NE(file, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), file), bytes.size());
+  ASSERT_EQ(std::fclose(file), 0);
+}
+
+TEST(JournalTail, HandsOutOnlyCompleteVerifiedFramesPastTheCursor) {
+  HaFixture fixture;
+  TempDir dir("tail_torn");
+  const auto path = dir.File("hours.journal");
+  {
+    auto journal = ha::Journal::Open(path, /*fsync_appends=*/false);
+    ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+    AppendHours(*journal, fixture, 0, 5);
+  }
+  ha::JournalTailReader tail(path);
+  std::string out;
+  auto read = tail.ReadFrom(2, out);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, 3u);
+  EXPECT_EQ(out, HourFrames(fixture, 2, 3));  // the file's bytes verbatim
+  out.clear();
+  read = tail.ReadFrom(5, out);
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(*read, 0u);
+  EXPECT_TRUE(out.empty());
+
+  // An append in flight (all but the last byte on disk) is not handed
+  // out until it completes.
+  const std::string next = HourFrames(fixture, 5, 1);
+  AppendRaw(path, std::string_view(next).substr(0, next.size() - 1));
+  read = tail.ReadFrom(5, out);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, 0u);
+  AppendRaw(path, std::string_view(next).substr(next.size() - 1));
+  read = tail.ReadFrom(5, out);
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(*read, 1u);
+  EXPECT_EQ(out, next);
+
+  // Asking again for an older seq walks the file from its start.
+  out.clear();
+  read = tail.ReadFrom(0, out);
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(*read, 6u);
+  EXPECT_EQ(out, HourFrames(fixture, 0, 6));
+
+  // A frame that fails its checksum is refused, never handed out.
+  std::string damaged = HourFrames(fixture, 6, 1);
+  damaged[damaged.size() - 2] ^= 0x01;
+  AppendRaw(path, damaged);
+  out.clear();
+  read = tail.ReadFrom(6, out);
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), util::StatusCode::kCorrupt);
+  EXPECT_TRUE(out.empty());
+}
+
+TEST(JournalTail, CompactionBetweenReadsReanchorsOnTheNewFile) {
+  HaFixture fixture;
+  TempDir dir("tail_compact");
+  const auto path = dir.File("hours.journal");
+  auto journal = ha::Journal::Open(path, /*fsync_appends=*/false);
+  ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+  ha::JournalTailReader tail(path);
+
+  AppendHours(*journal, fixture, 0, 6);
+  std::string shipped;
+  auto read = tail.ReadFrom(0, shipped);
+  ASSERT_TRUE(read.ok());
+  ASSERT_EQ(*read, 6u);
+
+  // Compaction replaces the file between two reads, keeping the cursor.
+  AppendHours(*journal, fixture, 6, 3);
+  ASSERT_TRUE(journal->Compact(4).ok());
+  AppendHours(*journal, fixture, 9, 1);
+  read = tail.ReadFrom(6, shipped);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, 4u);
+  // Every seq exactly once, as the frames the files held.
+  EXPECT_EQ(shipped, HourFrames(fixture, 0, 10));
+  auto file = util::ReadFileToString(path);
+  ASSERT_TRUE(file.ok());
+  EXPECT_EQ(file->substr(ha::JournalMagic().size()),
+            HourFrames(fixture, 4, 6));
+
+  // Compaction past the cursor: the new file no longer holds it.
+  AppendHours(*journal, fixture, 10, 3);
+  ASSERT_TRUE(journal->Compact(12).ok());
+  std::string lost;
+  read = tail.ReadFrom(10, lost);
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), util::StatusCode::kNoData);
+  EXPECT_TRUE(lost.empty());
+}
+
+TEST(JournalProgress, PublishesDurableAppendsAndCompactionAndWakesWaiters) {
+  HaFixture fixture;
+  TempDir dir("progress");
+  auto journal =
+      ha::Journal::Open(dir.File("hours.journal"), /*fsync_appends=*/false);
+  ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+  const ha::JournalProgress& progress = journal->progress();
+  AppendHours(*journal, fixture, 0, 3);
+  EXPECT_EQ(progress.durable_next_seq(), 3u);
+
+  // A buffered append is not durable until Sync(), and a waiter sleeps
+  // through it.
+  ASSERT_TRUE(journal
+                  ->AppendBuffered(ha::JournalRecordKind::kIngest, 3,
+                                   fixture.HourRows(3))
+                  .ok());
+  EXPECT_EQ(progress.durable_next_seq(), 3u);
+  EXPECT_EQ(progress.WaitForAdvance(3, 1), 3u);
+  std::atomic<std::uint64_t> woke_at{0};
+  std::thread waiter([&] { woke_at = progress.WaitForAdvance(3, 10000); });
+  ASSERT_TRUE(journal->Sync().ok());
+  waiter.join();
+  EXPECT_EQ(woke_at.load(), 4u);
+
+  ASSERT_TRUE(journal->Compact(2).ok());
+  EXPECT_EQ(progress.base_seq(), 2u);
+  EXPECT_EQ(progress.durable_next_seq(), 4u);
+  // The published object survives a move of the journal.
+  ha::Journal moved = *std::move(journal);
+  EXPECT_EQ(&moved.progress(), &progress);
+}
+
 TEST(ReplicaCompaction, CheckpointCompactionKeepsRecoveryBitIdentical) {
   // The full production loop: day-boundary checkpoints snapshot AND
   // compact, then the process dies and a cold Open must come back
@@ -628,6 +776,108 @@ TEST(ReplicaCompaction, CheckpointCompactionKeepsRecoveryBitIdentical) {
             ha::RestoreSource::kSnapshotAndJournal);
   EXPECT_EQ(reopened->recovery().skipped_records, 0u);
   EXPECT_EQ(ServiceBytes(reopened->service()), reference_bytes);
+}
+
+TEST(ReplicaCompaction, RetentionFloorKeepsLiveReadersBackToThePreviousCheckpoint) {
+  // Compaction keeps what a live journal reader (a shipping standby) has
+  // yet to read, but never more than back to the previous checkpoint: a
+  // reader further behind falls back to a snapshot instead of pinning
+  // the journal. The floor is read each time compaction runs.
+  HaFixture fixture;
+  TempDir dir("replica_retention");
+  auto config = fixture.MakeReplicaConfig(dir, "node");
+  config.compact_after_snapshot = true;
+  auto replica = fixture.OpenReplica(config);
+  ASSERT_TRUE(replica.ok()) << replica.status().ToString();
+  std::optional<std::uint64_t> floor;
+  int floor_reads = 0;
+  replica->SetRetentionFloor([&] {
+    ++floor_reads;
+    return floor;
+  });
+  // seq == hour; the day crossing at hour 24k checkpoints through 24k + 1.
+  const auto feed_through = [&](util::HourIndex last) {
+    for (auto h = static_cast<util::HourIndex>(replica->applied_seq());
+         h <= last; ++h) {
+      ASSERT_TRUE(replica->Ingest(h, fixture.HourRows(h)).ok()) << h;
+    }
+  };
+
+  floor = 10;  // a reader at seq 10 when the first checkpoint compacts
+  feed_through(24);
+  EXPECT_EQ(floor_reads, 1);
+  EXPECT_EQ(replica->last_snapshot_seq(), 25u);
+  EXPECT_EQ(replica->journal().base_seq(), 10u);
+  EXPECT_EQ(replica->standby_retained_records(), 15u);
+
+  // Still at 10 a checkpoint later: the cut stops at the previous
+  // checkpoint, so the journal spans at most two checkpoints.
+  feed_through(48);
+  EXPECT_EQ(replica->last_snapshot_seq(), 49u);
+  EXPECT_EQ(replica->journal().base_seq(), 25u);
+  EXPECT_EQ(replica->standby_retained_records(), 24u);
+
+  // A reader between the two checkpoints holds the cut at its cursor.
+  floor = 60;
+  feed_through(72);
+  EXPECT_EQ(replica->journal().base_seq(), 60u);
+  EXPECT_EQ(replica->standby_retained_records(), 13u);
+
+  // A reader past the snapshot, or none at all, lets the cut reach it.
+  floor = 500;
+  feed_through(96);
+  EXPECT_EQ(replica->journal().base_seq(), 97u);
+  EXPECT_EQ(replica->standby_retained_records(), 0u);
+  floor.reset();
+  feed_through(120);
+  EXPECT_EQ(replica->journal().base_seq(), 121u);
+  replica->SetRetentionFloor(nullptr);
+  feed_through(144);
+  EXPECT_EQ(replica->journal().base_seq(), 145u);
+  EXPECT_EQ(floor_reads, 5);
+}
+
+TEST(ReplicaCompaction, WarmStartOverRetainedRecordsIsBitIdentical) {
+  // A journal that compaction held back for a standby still holds
+  // records the snapshot already covers. A warm start must skip exactly
+  // those and come back bit-identical to an uninterrupted run.
+  HaFixture fixture;
+  const auto events = MakeStream(3 * util::kHoursPerDay);
+  auto reference = fixture.MakeRetrainer();
+  for (const auto& event : events) ApplyEvent(reference, fixture, event);
+
+  TempDir dir("replica_retained_restart");
+  auto config = fixture.MakeReplicaConfig(dir, "node");
+  config.compact_after_snapshot = true;
+  std::uint64_t retained = 0;
+  std::uint64_t snapshot_seq = 0;
+  std::uint64_t next_seq = 0;
+  std::uint32_t digest = 0;
+  {
+    auto replica = fixture.OpenReplica(config);
+    ASSERT_TRUE(replica.ok()) << replica.status().ToString();
+    replica->SetRetentionFloor([] { return std::optional<std::uint64_t>(5); });
+    for (const auto& event : events) {
+      ASSERT_TRUE(ApplyEvent(*replica, fixture, event).ok());
+    }
+    retained = replica->standby_retained_records();
+    snapshot_seq = replica->last_snapshot_seq();
+    next_seq = replica->journal().next_seq();
+    digest = ha::ReplicaStateDigest(*replica);
+    EXPECT_GT(retained, 0u);
+    EXPECT_EQ(replica->journal().base_seq() + retained, snapshot_seq);
+  }
+  auto reopened = fixture.OpenReplica(config);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(reopened->recovery().source,
+            ha::RestoreSource::kSnapshotAndJournal);
+  EXPECT_EQ(reopened->recovery().skipped_records, retained);
+  EXPECT_EQ(reopened->recovery().replayed_records, next_seq - snapshot_seq);
+  EXPECT_EQ(ServiceBytes(reopened->service()),
+            ServiceBytes(reference.current()));
+  EXPECT_EQ(reopened->retrainer().health_snapshot(),
+            reference.health_snapshot());
+  EXPECT_EQ(ha::ReplicaStateDigest(*reopened), digest);
 }
 
 TEST(ReplicaCompaction, CompactedJournalWithoutCoveringSnapshotIsCorrupt) {

@@ -195,7 +195,7 @@ TEST(WireCodec, EnvelopeRoundTripsEveryType) {
 }
 
 TEST(WireCodec, PayloadCodecsRoundTrip) {
-  const net::IngestHello hello{net::kWireProtocolVersion};
+  const net::IngestHello hello{net::kWireProtocolVersion, ""};
   auto hello2 = net::DecodeIngestHello(net::EncodeIngestHello(hello));
   ASSERT_TRUE(hello2.ok());
   EXPECT_EQ(hello2->protocol_version, hello.protocol_version);
@@ -1066,6 +1066,220 @@ TEST(Daemon, BaseAdvancePastStandbyCursorForcesSnapshotPath) {
             ServiceBytes(primary->service()));
   EXPECT_EQ(standby->retrainer().health_snapshot(),
             primary->retrainer().health_snapshot());
+  daemon.Stop();
+}
+
+TEST(Daemon, StandbyStaysOnJournalTailAcrossDayBoundaries) {
+  // Every day boundary checkpoints and compacts the primary's journal. A
+  // connected standby must follow the tail straight through: each record
+  // streamed exactly once, no snapshot catch-up, no reconnect, while the
+  // primary's journal base still advances.
+  NetFixture fixture;
+  TempDir dir("daemon_tail_days");
+  auto primary_config = fixture.MakeReplicaConfig(dir, "p");
+  primary_config.compact_after_snapshot = true;
+  auto primary = fixture.OpenReplica(primary_config);
+  ASSERT_TRUE(primary.ok()) << primary.status().ToString();
+  auto standby = fixture.OpenReplica(fixture.MakeReplicaConfig(dir, "s"));
+  ASSERT_TRUE(standby.ok()) << standby.status().ToString();
+
+  obs::Registry registry;
+  net::Daemon daemon(&*primary, &registry, fixture.FastDaemonConfig());
+  ASSERT_TRUE(daemon.Start().ok());
+  net::ShippingClient shipper(&*standby,
+                              fixture.FastClientConfig(daemon.ship_port()),
+                              &registry, "shipper");
+  shipper.Start();
+  ASSERT_TRUE(WaitUntil([&] { return daemon.ship_streams() == 1; }, 5000));
+
+  net::CollectorClient collector(
+      fixture.FastClientConfig(daemon.ingest_port()), &registry,
+      "collector");
+  // Four day boundaries, each a checkpoint plus a compaction.
+  constexpr util::HourIndex kHours = 4 * util::kHoursPerDay + 6;
+  for (util::HourIndex h = 0; h < kHours; ++h) {
+    ASSERT_TRUE(collector.SendHour(h, fixture.HourRows(h)).ok()) << h;
+  }
+  const auto fed = static_cast<std::uint64_t>(kHours);
+  ASSERT_TRUE(WaitUntil([&] { return shipper.applied_seq() == fed; }, 10000))
+      << "standby applied only to seq " << shipper.applied_seq();
+  EXPECT_TRUE(WaitUntil([&] { return daemon.ship_lag_seq() == 0.0; }, 5000));
+
+  EXPECT_EQ(shipper.snapshot_catchups(), 0u);
+  EXPECT_EQ(shipper.reconnects(), 0u);
+  EXPECT_EQ(shipper.records_applied(), fed);
+  EXPECT_EQ(daemon.ship_streams(), 1u);
+  EXPECT_EQ(daemon.ship_frames_sent(), fed);
+  EXPECT_EQ(daemon.snapshot_transfers(), 0u);
+  // Compaction kept running: the base sits at or past the checkpoint
+  // before the last one (day 3's, through seq 73).
+  EXPECT_GE(primary->journal().base_seq(), 3u * util::kHoursPerDay + 1);
+  shipper.Stop();
+
+  EXPECT_EQ(standby->applied_seq(), fed);
+  EXPECT_EQ(standby->duplicate_records_skipped(), 0u);
+  EXPECT_EQ(ServiceBytes(standby->service()),
+            ServiceBytes(primary->service()));
+  EXPECT_EQ(standby->retrainer().health_snapshot(),
+            primary->retrainer().health_snapshot());
+  daemon.Stop();
+}
+
+TEST(Daemon, CompactionBetweenTailReadsShipsEverySeqOnceVerbatim) {
+  // A raw ship stream reads the first day, then the boundary's compaction
+  // replaces the journal file before the next read. The stream must carry
+  // every seq exactly once, as the bytes the journal files held.
+  NetFixture fixture;
+  TempDir dir("daemon_tail_compact");
+  auto primary_config = fixture.MakeReplicaConfig(dir, "p");
+  primary_config.compact_after_snapshot = true;
+  auto primary = fixture.OpenReplica(primary_config);
+  ASSERT_TRUE(primary.ok()) << primary.status().ToString();
+
+  obs::Registry registry;
+  const net::DaemonConfig config = fixture.FastDaemonConfig();
+  net::Daemon daemon(&*primary, &registry, config);
+  ASSERT_TRUE(daemon.Start().ok());
+  net::CollectorClient collector(
+      fixture.FastClientConfig(daemon.ingest_port()), &registry,
+      "collector");
+  const auto feed = [&](util::HourIndex first, util::HourIndex last) {
+    for (util::HourIndex h = first; h < last; ++h) {
+      ASSERT_TRUE(collector.SendHour(h, fixture.HourRows(h)).ok()) << h;
+    }
+  };
+  feed(0, util::kHoursPerDay);
+
+  auto socket = net::Connect("127.0.0.1", daemon.ship_port(), 1000);
+  ASSERT_TRUE(socket.ok()) << socket.status().ToString();
+  ASSERT_TRUE(socket->SetReadDeadline(20).ok());
+  net::ShipRequest request;
+  request.from_seq = 0;
+  ASSERT_TRUE(socket
+                  ->SendAll(net::EncodeMessage(net::MessageType::kShipRequest,
+                                               net::EncodeShipRequest(request),
+                                               config.auth))
+                  .ok());
+  std::string wire;
+  net::JournalStreamDecoder decoder(/*base_seq=*/0);
+  std::vector<ha::JournalRecord> records;
+  const auto receive_through = [&](std::uint64_t seq) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (decoder.next_seq() < seq &&
+           std::chrono::steady_clock::now() < deadline) {
+      auto bytes = socket->RecvSome(64 * 1024);
+      if (!bytes.ok()) {
+        ASSERT_EQ(bytes.status().code(), util::StatusCode::kUnavailable)
+            << bytes.status().ToString();
+        continue;
+      }
+      wire += *bytes;
+      ASSERT_TRUE(decoder.Feed(*bytes, records).ok())
+          << decoder.status().ToString();
+    }
+    ASSERT_EQ(decoder.next_seq(), seq);
+  };
+  receive_through(util::kHoursPerDay);
+  auto before = util::ReadFileToString(primary_config.journal_path);
+  ASSERT_TRUE(before.ok());
+
+  // Hour 24 crosses the day: checkpoint, then compaction rewrites the
+  // file under the stream's open tail.
+  feed(util::kHoursPerDay, util::kHoursPerDay + 6);
+  const auto fed = static_cast<std::uint64_t>(util::kHoursPerDay + 6);
+  receive_through(fed);
+  ASSERT_GT(primary->journal().base_seq(), 0u);
+  auto after = util::ReadFileToString(primary_config.journal_path);
+  ASSERT_TRUE(after.ok());
+
+  std::string expected(ha::JournalMagic());
+  for (std::uint64_t seq = 0; seq < fed; ++seq) {
+    ha::JournalRecord record;
+    record.seq = seq;
+    record.hour = static_cast<util::HourIndex>(seq);
+    record.rows = fixture.HourRows(record.hour);
+    expected += ha::EncodeJournalRecord(record);
+  }
+  EXPECT_EQ(wire, expected);
+  // Verbatim against both files: the pre-compaction file is a prefix of
+  // the stream and the compacted file's frames are its suffix.
+  EXPECT_EQ(wire.compare(0, before->size(), *before), 0);
+  const std::size_t kept = after->size() - ha::JournalMagic().size();
+  ASSERT_LE(kept, wire.size());
+  EXPECT_EQ(wire.compare(wire.size() - kept, kept, *after,
+                         ha::JournalMagic().size(), kept),
+            0);
+  EXPECT_EQ(daemon.ship_frames_sent(), fed);
+  EXPECT_EQ(daemon.snapshot_transfers(), 0u);
+  socket->Close();
+  daemon.Stop();
+}
+
+TEST(Daemon, StalledStandbyFallsBackToCatchUpWithTheJournalBounded) {
+  // A standby stalls behind a partition while the primary crosses three
+  // day boundaries. Its stream must not hold the journal past the
+  // previous checkpoint; once the stall ends in a reset, the standby
+  // finds its cursor compacted away, takes a snapshot catch-up and
+  // converges bit-identically.
+  NetFixture fixture;
+  TempDir dir("daemon_tail_stall");
+  auto primary_config = fixture.MakeReplicaConfig(dir, "p");
+  primary_config.compact_after_snapshot = true;
+  auto primary = fixture.OpenReplica(primary_config);
+  ASSERT_TRUE(primary.ok()) << primary.status().ToString();
+  auto standby = fixture.OpenReplica(fixture.MakeReplicaConfig(dir, "s"));
+  ASSERT_TRUE(standby.ok()) << standby.status().ToString();
+
+  obs::Registry registry;
+  net::Daemon daemon(&*primary, &registry, fixture.FastDaemonConfig());
+  ASSERT_TRUE(daemon.Start().ok());
+  scenario::SocketFaultProxyConfig proxy_cfg;
+  proxy_cfg.upstream_port = daemon.ship_port();
+  scenario::SocketFaultProxy proxy(proxy_cfg);
+  ASSERT_TRUE(proxy.Start().ok());
+  net::ShippingClient shipper(&*standby,
+                              fixture.FastClientConfig(proxy.port()),
+                              &registry, "shipper");
+  shipper.Start();
+  net::CollectorClient collector(
+      fixture.FastClientConfig(daemon.ingest_port()), &registry,
+      "collector");
+  for (util::HourIndex h = 0; h < 10; ++h) {
+    ASSERT_TRUE(collector.SendHour(h, fixture.HourRows(h)).ok());
+  }
+  ASSERT_TRUE(WaitUntil([&] { return shipper.applied_seq() == 10; }, 5000));
+
+  proxy.set_mode(scenario::ProxyMode::kPartition);
+  std::uint64_t previous_checkpoint = 0;
+  constexpr util::HourIndex kHours = 3 * util::kHoursPerDay + 10;
+  for (util::HourIndex h = 10; h < kHours; ++h) {
+    ASSERT_TRUE(collector.SendHour(h, fixture.HourRows(h)).ok());
+    if (h % util::kHoursPerDay == 0) {
+      // Bounded: never held back past the previous checkpoint.
+      EXPECT_GE(primary->journal().base_seq(), previous_checkpoint) << h;
+      EXPECT_LE(primary->standby_retained_records(),
+                static_cast<std::uint64_t>(util::kHoursPerDay))
+          << h;
+      previous_checkpoint = primary->last_snapshot_seq();
+    }
+  }
+  EXPECT_EQ(shipper.applied_seq(), 10u);  // nothing crossed the partition
+  ASSERT_GT(primary->journal().base_seq(), 10u);
+
+  proxy.DropConnections();
+  proxy.set_mode(scenario::ProxyMode::kPass);
+  const auto fed = static_cast<std::uint64_t>(kHours);
+  ASSERT_TRUE(WaitUntil([&] { return shipper.applied_seq() == fed; }, 10000))
+      << "standby applied only to seq " << shipper.applied_seq();
+  shipper.Stop();
+  EXPECT_GE(shipper.snapshot_catchups(), 1u);
+  EXPECT_EQ(standby->duplicate_records_skipped(), 0u);
+  EXPECT_EQ(ServiceBytes(standby->service()),
+            ServiceBytes(primary->service()));
+  EXPECT_EQ(standby->retrainer().health_snapshot(),
+            primary->retrainer().health_snapshot());
+  proxy.Stop();
   daemon.Stop();
 }
 

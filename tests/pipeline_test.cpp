@@ -67,7 +67,9 @@ TEST_F(AggregateTest, MergesIdenticalKeysSummingBytes) {
   std::uint64_t total = 0;
   for (const auto& row : rows) {
     total += row.bytes;
-    if (row.link == util::LinkId{0}) EXPECT_EQ(row.bytes, 150u);
+    if (row.link == util::LinkId{0}) {
+      EXPECT_EQ(row.bytes, 150u);
+    }
   }
   EXPECT_EQ(total, 160u);
   EXPECT_EQ(agg.stats().raw_records, 3u);
